@@ -24,6 +24,7 @@ Checked per axiom:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import Hypernetwork, Hypersimplex, Kind, is_identifier
 
@@ -65,6 +66,11 @@ def _containment_cycles(h: Hypernetwork) -> list[list[str]]:
     for s in h.simplices:
         by_id.setdefault(s.id, s)
 
+    def children(node: str) -> Iterator[str]:
+        return iter(
+            [p.ref for p in by_id[node].participants if not p.excluded and p.ref in by_id]
+        )
+
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {sid: WHITE for sid in by_id}
     cycles: list[list[str]] = []
@@ -73,24 +79,19 @@ def _containment_cycles(h: Hypernetwork) -> list[list[str]]:
         if color[root] != WHITE:
             continue
         color[root] = GRAY
-        stack: list[tuple[str, int]] = [(root, 0)]
+        # Each frame keeps its node's child iterator, built once on push.
+        stack: list[tuple[str, Iterator[str]]] = [(root, children(root))]
         path = [root]
         while stack:
-            node, idx = stack[-1]
-            children = [
-                p.ref
-                for p in by_id[node].participants
-                if not p.excluded and p.ref in by_id
-            ]
-            if idx < len(children):
-                stack[-1] = (node, idx + 1)
-                child = children[idx]
+            node, pending = stack[-1]
+            child = next(pending, None)
+            if child is not None:
                 if color[child] == GRAY:
                     at = path.index(child)
                     cycles.append(path[at:] + [child])
                 elif color[child] == WHITE:
                     color[child] = GRAY
-                    stack.append((child, 0))
+                    stack.append((child, children(child)))
                     path.append(child)
             else:
                 stack.pop()

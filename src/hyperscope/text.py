@@ -12,6 +12,12 @@ may be omitted and defaults to alpha. A participant written ``!x`` is the
 anti-vertex of ``x``. Forward references within one file are fine;
 resolution happens once the whole file has been read.
 
+Lines end at ``"\\n"`` only. Whitespace is whatever ``str.isspace`` accepts,
+so the ``"\\r"`` of a CRLF ending is trailing whitespace, and other Unicode
+separators (U+2028, U+0085, form feed, a lone ``"\\r"``) are whitespace
+inside a line: they never end a comment. One leading U+FEFF (a UTF-8 byte
+order mark) is dropped before parsing, and columns count from after it.
+
 Canonical output, produced by :func:`serialize`, is bit-exact: one
 declaration per line in the hypernetwork's stored order (vertices, then
 relations, then hypersimplices), exactly one space after commas and around
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import axioms
 from .errors import (
@@ -38,6 +45,22 @@ from .model import Hypernetwork, Hypersimplex, Identifier, Kind, Participant, Re
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+|[<>();,=:!]")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
+# Whole-line forms of the three declarations. A line one of them accepts
+# parses to the same value and name column on the token path below
+# (tests/test_text.py checks this differentially); any other line takes the
+# token path, which owns every diagnostic. No two ``\s*`` are ever adjacent
+# without a literal between them, so a rejected line costs linear time.
+_NAME = r"[A-Za-z0-9_-]+"
+_NAMES = rf"{_NAME}(?:\s*,\s*{_NAME})*"
+_REF = rf"(?:!\s*)?{_NAME}"
+_END = r"\s*(?:#.*)?\Z"
+_VERTEX_RE = re.compile(rf"\s*vertex\s+({_NAME}){_END}")
+_RELATION_RE = re.compile(rf"\s*relation\s+({_NAME})\s*\(\s*({_NAMES})\s*\){_END}")
+_SIMPLEX_RE = re.compile(
+    rf"\s*({_NAME})\s*=\s*<\s*({_REF}(?:\s*,\s*{_REF})*)\s*;\s*({_NAME})"
+    rf"(?:\s*;\s*({_NAMES}))?\s*>(?:\s*:\s*(alpha|beta))?{_END}"
+)
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -45,6 +68,57 @@ class SourceSpan:
 
     line: int
     column: int
+
+
+_Decl = Identifier | RelationSymbol | Hypersimplex
+
+
+class _Names(dict):
+    """Per-parse intern table: one checked Identifier per distinct name."""
+
+    def __missing__(self, text: str) -> Identifier:
+        ident = self[text] = Identifier(text)
+        return ident
+
+
+class _Slots(dict):
+    """Per-parse table of one Participant per distinct slot text (``x``, ``!x``)."""
+
+    def __init__(self, names: _Names):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, text: str) -> Participant:
+        if text[0] == "!":
+            slot = Participant(self.names[text[1:].lstrip()], excluded=True)
+        else:
+            slot = Participant(self.names[text])
+        self[text] = slot
+        return slot
+
+
+def _match_line(line: str, names: _Names, slots: _Slots) -> tuple[_Decl, int] | None:
+    """Declaration and name column of a line the whole-line forms accept."""
+    m = _SIMPLEX_RE.match(line)
+    if m is not None:
+        sid, refs, rel, tags, kind = m.groups()
+        simplex = Hypersimplex(
+            names[sid],
+            tuple([slots[r.strip()] for r in refs.split(",")]),
+            names[rel],
+            Kind.BETA if kind == "beta" else Kind.ALPHA,
+            tuple([names[t.strip()] for t in tags.split(",")]) if tags else (),
+        )
+        return simplex, m.start(1) + 1
+    m = _VERTEX_RE.match(line)
+    if m is not None:
+        return names[m[1]], m.start(1) + 1
+    m = _RELATION_RE.match(line)
+    if m is not None:
+        roles = tuple(r.strip() for r in m[2].split(","))
+        if len(set(roles)) == len(roles):
+            return RelationSymbol(names[m[1]], roles), m.start(1) + 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -119,30 +193,7 @@ class _Cursor:
             raise HtSyntaxError(f"unexpected {tok.text!r} at end of declaration", tok.span)
 
 
-@dataclass
-class _VertexDecl:
-    name: _Token
-
-
-@dataclass
-class _RelationDecl:
-    name: _Token
-    roles: list[_Token]
-
-
-@dataclass
-class _SimplexDecl:
-    name: _Token
-    participants: list[tuple[bool, _Token]]  # (excluded, ref)
-    relation: _Token
-    tags: list[_Token]
-    kind: Kind
-
-
-_Decl = _VertexDecl | _RelationDecl | _SimplexDecl
-
-
-def _parse_relation(cur: _Cursor) -> _RelationDecl:
+def _parse_relation(cur: _Cursor) -> tuple[RelationSymbol, int]:
     cur.take("relation")
     name = cur.take_ident("relation name")
     cur.take("(")
@@ -157,22 +208,24 @@ def _parse_relation(cur: _Cursor) -> _RelationDecl:
         if r.text in seen:
             raise HtSyntaxError(f"duplicate role name {r.text!r}", r.span)
         seen.add(r.text)
-    return _RelationDecl(name, roles)
+    relation = RelationSymbol(Identifier(name.text), tuple(r.text for r in roles))
+    return relation, name.span.column
 
 
-def _parse_simplex(cur: _Cursor) -> _SimplexDecl:
+def _parse_simplex(cur: _Cursor) -> tuple[Hypersimplex, int]:
     name = cur.take_ident("hypersimplex name")
     cur.take("=")
     cur.take("<")
 
-    participants: list[tuple[bool, _Token]] = []
+    participants: list[Participant] = []
     while True:
         excluded = False
         tok = cur.peek()
         if tok is not None and tok.text == "!":
             cur.take("!")
             excluded = True
-        participants.append((excluded, cur.take_ident("participant")))
+        ref = cur.take_ident("participant")
+        participants.append(Participant(Identifier(ref.text), excluded=excluded))
         tok = cur.peek()
         if tok is not None and tok.text == ",":
             cur.take(",")
@@ -181,14 +234,14 @@ def _parse_simplex(cur: _Cursor) -> _SimplexDecl:
     cur.take(";")
     relation = cur.take_ident("relation name")
 
-    tags: list[_Token] = []
+    tags: list[Identifier] = []
     tok = cur.peek()
     if tok is not None and tok.text == ";":
         cur.take(";")
-        tags.append(cur.take_ident("boundary tag"))
+        tags.append(Identifier(cur.take_ident("boundary tag").text))
         while cur.peek() is not None and cur.peek().text == ",":
             cur.take(",")
-            tags.append(cur.take_ident("boundary tag"))
+            tags.append(Identifier(cur.take_ident("boundary tag").text))
     cur.take(">")
 
     kind = Kind.ALPHA
@@ -203,69 +256,61 @@ def _parse_simplex(cur: _Cursor) -> _SimplexDecl:
         else:
             raise HtSyntaxError(f"expected alpha or beta, got {ktok.text!r}", ktok.span)
     cur.expect_end()
-    return _SimplexDecl(name, participants, relation, tags, kind)
+    simplex = Hypersimplex(
+        Identifier(name.text),
+        tuple(participants),
+        Identifier(relation.text),
+        kind,
+        tuple(tags),
+    )
+    return simplex, name.span.column
 
 
-def _scan(text: str) -> list[_Decl]:
-    decls: list[_Decl] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = _tokenize(line, lineno)
-        cur = _Cursor(tokens, lineno)
-        head = tokens[0]
-        nxt = tokens[1] if len(tokens) > 1 else None
-        # "vertex" and "relation" are not reserved: a second token "="
-        # means the line declares a hypersimplex of that name.
-        if head.text == "vertex" and (nxt is None or nxt.text != "="):
-            cur.take("vertex")
-            name = cur.take_ident("vertex name")
-            cur.expect_end()
-            decls.append(_VertexDecl(name))
-        elif head.text == "relation" and (nxt is None or nxt.text != "="):
-            decls.append(_parse_relation(cur))
-        else:
-            decls.append(_parse_simplex(cur))
-    return decls
+def _parse_line(line: str, lineno: int) -> tuple[_Decl, int] | None:
+    """Token-by-token parse of one line: its declaration and name column.
+
+    Returns None for a blank or comment-only line, and raises the line's
+    ``HtSyntaxError`` for anything malformed.
+    """
+    tokens = _tokenize(line.split("#", 1)[0], lineno)
+    if not tokens:
+        return None
+    cur = _Cursor(tokens, lineno)
+    head = tokens[0]
+    nxt = tokens[1] if len(tokens) > 1 else None
+    # "vertex" and "relation" are not reserved: a second token "="
+    # means the line declares a hypersimplex of that name.
+    if head.text == "vertex" and (nxt is None or nxt.text != "="):
+        cur.take("vertex")
+        name = cur.take_ident("vertex name")
+        cur.expect_end()
+        return Identifier(name.text), name.span.column
+    if head.text == "relation" and (nxt is None or nxt.text != "="):
+        return _parse_relation(cur)
+    return _parse_simplex(cur)
 
 
-def _build(decls: list[_Decl]) -> Hypernetwork:
-    vertices: list[Identifier] = []
-    relations: list[RelationSymbol] = []
-    simplices: list[Hypersimplex] = []
-    for d in decls:
-        if isinstance(d, _VertexDecl):
-            vertices.append(Identifier(d.name.text))
-        elif isinstance(d, _RelationDecl):
-            relations.append(
-                RelationSymbol(Identifier(d.name.text), tuple(r.text for r in d.roles))
-            )
-        else:
-            simplices.append(
-                Hypersimplex(
-                    id=Identifier(d.name.text),
-                    participants=tuple(
-                        Participant(Identifier(t.text), excluded=excl)
-                        for excl, t in d.participants
-                    ),
-                    relation=Identifier(d.relation.text),
-                    kind=d.kind,
-                    tags=tuple(Identifier(t.text) for t in d.tags),
-                )
-            )
-    return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
+def _declarations(text: str) -> Iterator[tuple[_Decl, int, int]]:
+    """Each declaration in ``text`` with its name's line and column, in source order."""
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    names = _Names()
+    slots = _Slots(names)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        found = _match_line(line, names, slots) or _parse_line(line, lineno)
+        if found is not None:
+            yield found[0], lineno, found[1]
 
 
-def _decl_spans(decls: list[_Decl]) -> dict[str, list[SourceSpan]]:
-    spans: dict[str, list[SourceSpan]] = {}
-    for d in decls:
-        spans.setdefault(d.name.text, []).append(d.name.span)
-    return spans
-
-
-def _raise_for(violation: axioms.Violation, spans: dict[str, list[SourceSpan]]) -> None:
-    at = spans.get(violation.subject, [None])
+def _raise_for(violation: axioms.Violation, text: str) -> None:
+    # Spans are only needed here, so the source is scanned again for them
+    # rather than recorded on every parse. A vertex declaration is its own
+    # name; the others carry it as ``id``.
+    at = [
+        SourceSpan(line, column)
+        for decl, line, column in _declarations(text)
+        if getattr(decl, "id", decl) == violation.subject
+    ] or [None]
     span = at[0]
     message = violation.message
     if violation.axiom == "A1" and message.startswith(axioms._DUP_PREFIX):
@@ -288,7 +333,14 @@ def parse_unchecked(text: str) -> Hypernetwork:
     Used by validation tooling that wants to report axiom violations as
     data instead of failing on the first one.
     """
-    return _build(_scan(text))
+    vertices: list[Identifier] = []
+    relations: list[RelationSymbol] = []
+    simplices: list[Hypersimplex] = []
+    add = {Identifier: vertices.append, RelationSymbol: relations.append,
+           Hypersimplex: simplices.append}
+    for decl, _, _ in _declarations(text):
+        add[type(decl)](decl)
+    return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
 
 
 def parse(text: str) -> Hypernetwork:
@@ -298,11 +350,10 @@ def parse(text: str) -> Hypernetwork:
     mismatches, duplicate tags, containment cycles) are rejected eagerly
     with the declaration's source position attached.
     """
-    decls = _scan(text)
-    h = _build(decls)
+    h = parse_unchecked(text)
     report = axioms.validate(h)
     if not report.ok:
-        _raise_for(report.violations[0], _decl_spans(decls))
+        _raise_for(report.violations[0], text)
     return h
 
 

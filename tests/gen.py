@@ -9,6 +9,7 @@ acceptance runs.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from hyperscope import (
@@ -21,6 +22,7 @@ from hyperscope import (
 )
 
 TAG_POOL = tuple(Identifier(t) for t in ("b0", "b1", "b2", "b3"))
+ACCEPTANCE_SEED = 20260811
 
 
 def closure_oracle(h: Hypernetwork, roots) -> set[str]:
@@ -91,6 +93,13 @@ def random_hypernetwork(rng: random.Random, max_simplices: int = 12,
         allow_excluded=allow_excluded,
     )
     return Hypernetwork(vertices, relations, tuple(sims))
+
+
+@functools.cache
+def acceptance_corpus() -> tuple[Hypernetwork, ...]:
+    """The 1000 seeded networks of the acceptance suite, built once per run."""
+    rng = random.Random(ACCEPTANCE_SEED)
+    return tuple(random_hypernetwork(rng) for _ in range(1000))
 
 
 def compatible_pair(rng: random.Random, required_tag: Identifier | None = None):

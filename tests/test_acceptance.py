@@ -29,24 +29,14 @@ from hyperscope import (
 )
 
 from gen import (
+    ACCEPTANCE_SEED,
     TAG_POOL,
+    acceptance_corpus,
     compatible_pair,
     compatible_triple,
-    random_hypernetwork,
     retag,
     strip_tags,
 )
-
-_RANDOM_CORPUS_SEED = 20260811
-_RANDOM_CORPUS: list[Hypernetwork] = []
-
-
-def _corpus() -> list[Hypernetwork]:
-    if not _RANDOM_CORPUS:
-        rng = random.Random(_RANDOM_CORPUS_SEED)
-        _RANDOM_CORPUS.extend(random_hypernetwork(rng) for _ in range(1000))
-    return _RANDOM_CORPUS
-
 
 def _ids(h):
     return {str(s.id) for s in h.simplices}
@@ -127,7 +117,7 @@ def test_criterion_1_worked_examples():
 
 def test_criterion_2_projection_preserves_axioms():
     failures = 0
-    for h in _corpus():
+    for h in acceptance_corpus():
         for b in TAG_POOL:
             if not validate(project(h, b).content).ok:
                 failures += 1
@@ -136,7 +126,7 @@ def test_criterion_2_projection_preserves_axioms():
 
 def test_criterion_3_projection_is_filter_only_and_idempotent():
     failures = 0
-    for h in _corpus():
+    for h in acceptance_corpus():
         base = {s.id: s for s in h.simplices}
         for b in TAG_POOL:
             content = project(h, b).content
@@ -149,9 +139,9 @@ def test_criterion_3_projection_is_filter_only_and_idempotent():
 
 def test_criterion_4_operator_laws():
     failures = 0
-    rng = random.Random(_RANDOM_CORPUS_SEED + 1)
+    rng = random.Random(ACCEPTANCE_SEED + 1)
 
-    for h in _corpus():
+    for h in acceptance_corpus():
         # determinism and input immutability
         before = serialize(h)
         if split(h, set()) != split(h, set()):
@@ -231,7 +221,7 @@ def test_criterion_5_divergence_and_coincidence():
 
     # coincidence on fully tagged pairs
     failures = 0
-    rng = random.Random(_RANDOM_CORPUS_SEED + 2)
+    rng = random.Random(ACCEPTANCE_SEED + 2)
     b = TAG_POOL[0]
     for _ in range(200):
         h1, h2 = compatible_pair(rng, required_tag=b)
@@ -252,7 +242,7 @@ def test_criterion_6_round_trip():
         text = serialize(h)
         if parse(text) != h or serialize(parse(text)) != text:
             failures += 1
-    for h in _corpus():
+    for h in acceptance_corpus():
         text = serialize(h)
         if parse(text) != h:
             failures += 1

@@ -48,6 +48,13 @@ def test_validate_syntax_error_exits_2(workdir, capsys):
     assert "E_SYNTAX" in err
 
 
+def test_fmt_reads_a_utf8_bom_and_crlf_file(workdir, capsys):
+    src = workdir / "bom.ht"
+    src.write_bytes(b"\xef\xbb\xbfvertex a\r\nrelation R(r1)\r\nx = < a ; R >\r\n")
+    code, out, err = _run(capsys, ["fmt", str(src)])
+    assert (code, out, err) == (0, "vertex a\nrelation R(r1)\nx = < a ; R > : alpha\n", "")
+
+
 def test_project_fire(workdir, capsys, emergency):
     code, out, err = _run(
         capsys, ["project", str(workdir / "emergency.ht"), "--boundary", "b_fire"]

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import random
+import re
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperscope import (
     ArityError,
     CycleError,
     DuplicateIdentifierError,
     HtSyntaxError,
+    HypernetworkError,
     Kind,
+    SourceSpan,
     UnresolvedIdentifierError,
     parse,
     parse_unchecked,
@@ -15,7 +22,10 @@ from hyperscope import (
     serialize,
     validate,
 )
+from hyperscope import text
 from hyperscope.corpus import fixture_source
+
+from gen import acceptance_corpus
 
 
 class TestParse:
@@ -177,3 +187,222 @@ class TestSerialize:
             "relation R(r1, r2)\n"
             "x = < a, !a ; R ; t > : alpha\n"
         )
+
+
+# Separators that str.splitlines() breaks on but that are whitespace here.
+_INLINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("sep", _INLINE_BREAKS)
+    def test_unicode_line_breaks_do_not_end_comments(self, sep):
+        assert parse_unchecked(f"# c{sep}x = < y ; R >\n").is_empty()
+
+    @pytest.mark.parametrize("sep", _INLINE_BREAKS)
+    def test_unicode_line_breaks_are_whitespace_inside_a_line(self, sep):
+        assert parse(f"vertex{sep}a{sep}\n").vertices == ("a",)
+        with pytest.raises(HtSyntaxError) as err:
+            parse(f"vertex a{sep}vertex b\n")
+        assert err.value.span == SourceSpan(1, 10)
+
+    @pytest.mark.parametrize("sep", _INLINE_BREAKS)
+    def test_line_numbers_count_line_feeds_only(self, sep):
+        with pytest.raises(DuplicateIdentifierError) as err:
+            parse(f"vertex a{sep}\nvertex a\n")
+        assert err.value.span == SourceSpan(2, 8)
+
+    def test_crlf_is_tolerated(self):
+        src = fixture_source("E2")
+        assert parse(src.replace("\n", "\r\n")) == parse(src)
+        with pytest.raises(DuplicateIdentifierError) as err:
+            parse("vertex a\r\n# c\r\nvertex a\r\n")
+        assert err.value.span == SourceSpan(3, 8)
+
+
+class TestByteOrderMark:
+    def test_leading_bom_is_dropped(self):
+        assert parse("\ufeffvertex a\n").vertices == ("a",)
+        with pytest.raises(HtSyntaxError) as err:
+            parse("\ufeffvertex a$b\n")
+        assert err.value.span == SourceSpan(1, 9)
+
+    @pytest.mark.parametrize(
+        "src, span",
+        [
+            ("vertex a\n\ufeffvertex b\n", SourceSpan(2, 1)),
+            ("\ufeff\ufeffvertex a\n", SourceSpan(1, 1)),
+            ("vertex \ufeffa\n", SourceSpan(1, 8)),
+        ],
+    )
+    def test_bom_elsewhere_is_rejected_with_its_span(self, src, span):
+        with pytest.raises(HtSyntaxError) as err:
+            parse(src)
+        assert err.value.args[0] == "unexpected character '\\ufeff'"
+        assert err.value.span == span
+
+
+def test_regex_whitespace_is_str_isspace():
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+# Each error case above with its exact diagnostic, plus cases that reach the
+# token path from lines close to a whole-line form. The fast path may not
+# change any of them.
+PINNED_ERRORS = [
+    ("vertex a\nrelation R(r1)\nx = < a ; R ; >\n", HtSyntaxError,
+     "expected boundary tag, got '>'", 3, 15),
+    ("vertex a$b\n", HtSyntaxError, "unexpected character '$'", 1, 9),
+    ("vertex a\nx = < a >\n", HtSyntaxError, "expected ';', got '>'", 2, 9),
+    ("vertex a\nrelation R(r1)\nx = < a ; R > : gamma\n", HtSyntaxError,
+     "expected alpha or beta, got 'gamma'", 3, 17),
+    ("vertex a\nvertex a\n", DuplicateIdentifierError,
+     "duplicate declaration of a (first declared as a vertex)", 2, 8),
+    ("vertex x\nrelation R(r1)\nx = < x ; R >\n", DuplicateIdentifierError,
+     "duplicate declaration of x (first declared as a vertex)", 3, 1),
+    ("relation R(r1)\nx = < ghost ; R >\n", UnresolvedIdentifierError,
+     "participant ghost does not resolve", 2, 1),
+    ("vertex a\nx = < a ; R_missing >\n", UnresolvedIdentifierError,
+     "relation R_missing is not declared", 2, 1),
+    ("vertex a\nrelation R(r1, r2)\nx = < a ; R >\n", ArityError,
+     "binds 1 participants to R which has arity 2", 3, 1),
+    ("relation R(r1)\nx = < y ; R >\ny = < x ; R >\n", CycleError,
+     "containment cycle: x -> y -> x", 2, 1),
+    ("vertex a\nrelation R(r1)\nx = < a ; R ; t, t >\n", DuplicateIdentifierError,
+     "duplicate tag t", 3, 1),
+    ("relation R(r1, r1)\n", HtSyntaxError, "duplicate role name 'r1'", 1, 16),
+    ("relation R(r1)\nvertex a\nvertexa\n", HtSyntaxError, "expected '='", 3, 8),
+    ("vertex a\nrelation R(r1)\n  x = < !a ; R ; t , t>\n", DuplicateIdentifierError,
+     "duplicate tag t", 3, 3),
+    ("relation R(r1)\nrelation R(r2)\n", DuplicateIdentifierError,
+     "duplicate declaration of R (first declared as a relation)", 2, 10),
+    ("vertex a\n\nrelation R(r1)\nrelation\tS(r1)\nx=<a;S>\nx = < a ; R >\n",
+     DuplicateIdentifierError,
+     "duplicate declaration of x (first declared as a hypersimplex)", 6, 1),
+    ("relation R(r1)\nx = < ! ; R >\n", HtSyntaxError, "expected participant, got ';'", 2, 9),
+    ("vertex\n", HtSyntaxError, "expected vertex name", 1, 7),
+    ("relation R()\n", HtSyntaxError, "expected role name, got ')'", 1, 12),
+    ("x = < a ; R > : beta extra\n", HtSyntaxError,
+     "unexpected 'extra' at end of declaration", 1, 22),
+]
+
+
+@pytest.mark.parametrize("src, kind, message, line, column", PINNED_ERRORS)
+def test_error_diagnostics_are_pinned(src, kind, message, line, column):
+    with pytest.raises(HypernetworkError) as err:
+        parse(src)
+    assert type(err.value) is kind
+    assert err.value.args[0] == message
+    assert err.value.span == SourceSpan(line, column)
+
+
+def test_rejected_long_lines_cost_linear_time():
+    gap = " \t" * 20_000
+    lines = [
+        "x = < a," + gap + "; R",
+        "x = < a ; R >" + gap + ": gamma",
+        "vertex" + gap + "a b",
+        "x = < " + " ,  ".join(["! a"] * 10_000) + " ; R ; t ,",
+        "relation R(" + " , ".join(["r"] * 20_000),
+    ]
+    start = time.perf_counter()
+    for line in lines:
+        with pytest.raises(HtSyntaxError):
+            parse(line)
+    assert time.perf_counter() - start < 3.0
+
+
+# -- whole-line fast path against the token-by-token parser -----------------
+
+_WORD = re.compile(r"[A-Za-z0-9_-]+")
+_SPACES = (" ", "\t", "\xa0", "\x0c", "\u2028", "\u3000", "\r")
+
+
+def _fast(line):
+    names = text._Names()
+    return text._match_line(line, names, text._Slots(names))
+
+
+def _gap(rng, nonempty=False):
+    return "".join(rng.choice(_SPACES) for _ in range(rng.randint(int(nonempty), 3)))
+
+
+def _respace(rng, line):
+    """``line`` with random whitespace runs, maybe a comment, maybe no ``: alpha``."""
+    tokens = re.findall(r"[A-Za-z0-9_-]+|\S", line)
+    if tokens[-2:] == [":", "alpha"] and rng.random() < 0.5:
+        del tokens[-2:]
+    out = [_gap(rng), tokens[0]]
+    for prev, tok in zip(tokens, tokens[1:]):
+        out += [_gap(rng, bool(_WORD.match(prev) and _WORD.match(tok))), tok]
+    out.append(_gap(rng))
+    if rng.random() < 0.3:
+        out.append("# x = < a ; R > \x85 !")
+    return "".join(out)
+
+
+def _mutate(rng, line):
+    chars = list(line)
+    at = rng.randrange(len(chars))
+    roll = rng.random()
+    if roll < 0.4:
+        del chars[at]
+    elif roll < 0.8:
+        chars.insert(at, rng.choice("<>();,=:!# \t\xa0aR1_-"))
+    else:
+        chars[at:at] = chars[at : at + rng.randint(1, 6)]
+    return "".join(chars)
+
+
+def _corpus_lines():
+    for h in acceptance_corpus():
+        yield from serialize(h).splitlines()
+
+
+def test_fast_path_matches_token_path_on_corpus():
+    rng = random.Random(5)
+    for line in _corpus_lines():
+        for variant in (line, _respace(rng, line)):
+            fast = _fast(variant)
+            slow = text._parse_line(variant, 1)
+            assert fast is not None, variant
+            assert fast == slow and type(fast[0]) is type(slow[0]), variant
+
+
+def test_fast_path_accepts_only_what_the_token_path_accepts():
+    rng = random.Random(6)
+    for line in _corpus_lines():
+        mutant = _mutate(rng, _respace(rng, line) if rng.random() < 0.5 else line)
+        fast = _fast(mutant)
+        if fast is not None:
+            slow = text._parse_line(mutant, 1)
+            assert fast == slow and type(fast[0]) is type(slow[0]), mutant
+
+
+# -- fuzz --------------------------------------------------------------------
+
+_FRAGMENTS = st.sampled_from([
+    "vertex", "relation", "alpha", "beta", "a", "b", "x", "R", "r1", "t", "_-9",
+    "<", ">", "(", ")", ";", ",", "=", ":", "!", "!", "#", "\r", "\n", "\n", "\ufeff",
+    " ", " ", "\t", "\xa0", "\x0c", "\x85", "\u2028", "\u3000",
+    "vertex a\n", "vertex b\n", "relation R(r1)\n", "relation S(r1, r2)\n",
+    "x = < a ; R ; t >\n", "y = < !a, x ; S > : beta\n", "z=<y;R;t,u>\n",
+])
+_TEXT = st.lists(st.one_of(_FRAGMENTS, _FRAGMENTS, _FRAGMENTS, st.characters()),
+                 max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+def test_any_text_parses_to_a_fixed_point_or_raises_a_spanned_error(source):
+    try:
+        h = parse(source)
+    except HypernetworkError as err:
+        assert isinstance(err.span, SourceSpan)
+        lines = source.removeprefix("\ufeff").split("\n")
+        assert 1 <= err.span.line <= len(lines)
+        assert 1 <= err.span.column <= len(lines[err.span.line - 1]) + 1
+        return
+    once = serialize(h)
+    assert parse(once) == h
+    assert serialize(parse(once)) == once
