@@ -28,9 +28,6 @@ from typing import Iterator
 
 from .model import Hypernetwork, Hypersimplex, Kind, is_identifier
 
-_DUP_PREFIX = "duplicate declaration"
-_DUP_TAG_PREFIX = "duplicate tag"
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -129,11 +126,11 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 Violation(
                     "A1",
                     name,
-                    f"{_DUP_PREFIX} of {name} (first declared as a {first_kind[name]})",
+                    f"duplicate declaration of {name} (first declared as a {first_kind[name]})",
                 )
             )
 
-    declared_refs = set(h.vertices) | {s.id for s in h.simplices}
+    declared_refs = set(h.vertices) | h.simplex_ids()
     rel_by_id = {}
     for r in h.relations:
         rel_by_id.setdefault(r.id, r)
@@ -175,7 +172,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 )
                 continue
             if t in seen_tags:
-                violations.append(Violation("A5", s.id, f"{_DUP_TAG_PREFIX} {t}"))
+                violations.append(Violation("A5", s.id, f"duplicate tag {t}"))
             seen_tags.add(t)
 
     for cycle in _containment_cycles(h):

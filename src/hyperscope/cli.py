@@ -15,7 +15,7 @@ from pathlib import Path
 from . import axioms, scope, text
 from .errors import HypernetworkError
 from .model import Hypernetwork, Identifier, structural_digest
-from .ops import difference, merge, meet, prune, split
+from .ops import BINARY, prune, split
 
 
 class _UsageError(Exception):
@@ -26,13 +26,13 @@ class _InputError(_UsageError):
     pass
 
 
-def _load(path: str) -> Hypernetwork:
+def _load(path: str, parse=text.parse) -> Hypernetwork:
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return text.parse(source)
+        return parse(source)
     except HypernetworkError as exc:
         raise _InputError(f"{path}: {exc.code}: {exc}") from exc
 
@@ -63,15 +63,7 @@ def _emit(out_text: str, ns: argparse.Namespace, inputs: list[str]) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    try:
-        source = Path(ns.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputError(f"cannot read {ns.file}: {exc}") from exc
-    try:
-        h = text.parse_unchecked(source)
-    except HypernetworkError as exc:
-        raise _InputError(f"{ns.file}: {exc.code}: {exc}") from exc
-    report = axioms.validate(h)
+    report = axioms.validate(_load(ns.file, parse=text.parse_unchecked))
     if report.ok:
         return 0
     sys.stdout.write(report.render() + "\n")
@@ -90,28 +82,26 @@ def _cmd_op_binary(ns: argparse.Namespace) -> int:
     if ns.boundary is not None:
         result = scope.scoped_apply(ns.op_name, h1, h2, _ident(ns.boundary, "boundary tag")).content
     else:
-        fn = {"merge": merge, "meet": meet, "difference": difference}[ns.op_name]
-        result = fn(h1, h2)
+        result = BINARY[ns.op_name](h1, h2)
     return _emit(text.serialize(result), ns, [ns.file1, ns.file2])
 
 
-def _cmd_op_prune(ns: argparse.Namespace) -> int:
-    h = _load(ns.file)
-    elements = _ident_list(ns.elements, "element name")
-    if ns.boundary is not None:
-        result = scope.scoped_prune(h, elements, _ident(ns.boundary, "boundary tag")).content
-    else:
-        result = prune(h, elements)
-    return _emit(text.serialize(result), ns, [ns.file])
+# Unary operators by name: global form, scoped form, the option that
+# names their elements, and what an element is called in usage errors.
+_UNARY = {
+    "prune": (prune, scope.scoped_prune, "elements", "element name"),
+    "split": (split, scope.scoped_split, "closure", "closure seed"),
+}
 
 
-def _cmd_op_split(ns: argparse.Namespace) -> int:
+def _cmd_op_unary(ns: argparse.Namespace) -> int:
+    fn, scoped, option, what = _UNARY[ns.op_name]
     h = _load(ns.file)
-    seeds = _ident_list(ns.closure, "closure seed")
+    names = _ident_list(getattr(ns, option), what)
     if ns.boundary is not None:
-        result = scope.scoped_split(h, seeds, _ident(ns.boundary, "boundary tag")).content
+        result = scoped(h, names, _ident(ns.boundary, "boundary tag")).content
     else:
-        result = split(h, seeds)
+        result = fn(h, names)
     return _emit(text.serialize(result), ns, [ns.file])
 
 
@@ -157,25 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply a structural operator")
     opsub = p.add_subparsers(dest="op_name", required=True)
-    for name in ("merge", "meet", "difference"):
+    for name in BINARY:
         q = opsub.add_parser(name)
         q.add_argument("file1")
         q.add_argument("file2")
         q.add_argument("--boundary", metavar="TAG", help="apply within this boundary only")
         _add_out(q)
         q.set_defaults(handler=_cmd_op_binary)
-    q = opsub.add_parser("prune")
-    q.add_argument("file")
-    q.add_argument("--elements", required=True, metavar="a,b,...")
-    q.add_argument("--boundary", metavar="TAG", help="prune within this boundary only")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_op_prune)
-    q = opsub.add_parser("split")
-    q.add_argument("file")
-    q.add_argument("--closure", required=True, metavar="a,b,...")
-    q.add_argument("--boundary", metavar="TAG", help="split within this boundary only")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_op_split)
+    for name, (_, _, option, _) in _UNARY.items():
+        q = opsub.add_parser(name)
+        q.add_argument("file")
+        q.add_argument(f"--{option}", required=True, metavar="a,b,...")
+        q.add_argument("--boundary", metavar="TAG", help=f"{name} within this boundary only")
+        _add_out(q)
+        q.set_defaults(handler=_cmd_op_unary)
 
     p = sub.add_parser("views", help="set-theoretic comparison of two projections")
     p.add_argument("views_cmd", choices=("intersect", "union"))

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 
 class HypernetworkError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``report`` is the full ValidationReport when ``parse`` rejects a text
+    for axiom violations; the error itself describes the first of them.
+    """
 
     code = "E_ERROR"
+    report = None
 
     def __init__(self, message: str, span=None):
         super().__init__(message)

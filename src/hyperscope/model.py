@@ -23,7 +23,9 @@ from typing import Iterable
 
 from .errors import UnresolvedIdentifierError
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+# The identifier alphabet; the text format builds its tokens from it.
+NAME = r"[A-Za-z0-9_-]+"
+_IDENTIFIER_RE = re.compile(NAME + r"\Z")
 
 
 class Identifier(str):
@@ -161,14 +163,6 @@ class Hypernetwork:
                 return r
         return None
 
-    def declares(self, name: str) -> bool:
-        """True when ``name`` resolves as a participant reference.
-
-        The resolution space for participants is vertices plus hypersimplex
-        ids; relation names and tags live in separate spaces.
-        """
-        return name in self.vertices or any(s.id == name for s in self.simplices)
-
     def tag_universe(self) -> tuple[Identifier, ...]:
         """All boundary tags in use, in first-appearance order."""
         seen: dict[Identifier, None] = {}
@@ -196,6 +190,19 @@ class View:
     boundary: Identifier | None = None
 
 
+def require_declared(h: Hypernetwork, names: Iterable[str],
+                     reason: str = "does not resolve to a vertex or hypersimplex") -> None:
+    """Raise UnresolvedIdentifierError for the least of ``names`` that ``h`` lacks.
+
+    Names resolve against vertices plus hypersimplex ids; relation names and
+    tags live in separate spaces. The least name, not the first, is reported,
+    so the error does not depend on the iteration order of ``names``.
+    """
+    missing = set(names).difference(h.vertices, h.simplex_ids())
+    if missing:
+        raise UnresolvedIdentifierError(f"{min(missing)} {reason}")
+
+
 def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     """Downward containment closure of ``roots`` within ``h``.
 
@@ -208,16 +215,13 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     Raises UnresolvedIdentifierError when a root is neither a declared
     vertex nor a declared hypersimplex of ``h``.
     """
+    roots = list(roots)
+    require_declared(h, roots)
     by_id: dict[str, Hypersimplex] = {}
     for s in h.simplices:
         by_id.setdefault(s.id, s)
-    declared = set(h.vertices) | by_id.keys()
 
-    stack: list[Identifier] = []
-    for r in roots:
-        if r not in declared:
-            raise UnresolvedIdentifierError(f"{r} does not resolve to a vertex or hypersimplex")
-        stack.append(Identifier(r))
+    stack = [Identifier(r) for r in roots]
 
     out: set[Identifier] = set()
     while stack:

@@ -17,15 +17,16 @@ place, still resolves and arity is preserved.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import IdentityConflictError, UnresolvedIdentifierError
+from .errors import IdentityConflictError
 from .model import (
     Hypernetwork,
     Hypersimplex,
     Identifier,
     Participant,
     descendants,
+    require_declared,
 )
 
 
@@ -108,7 +109,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
         if not s.structurally_equal(t):
             raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
         out.append(replace(s, tags=s.tags + tuple(x for x in t.tags if x not in s.tags)))
-    ids1 = {s.id for s in h1.simplices}
+    ids1 = h1.simplex_ids()
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))
 
@@ -141,7 +142,7 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     Tags and order come from ``h1``; declarations are restricted to what
     the surviving content references.
     """
-    ids2 = {s.id for s in h2.simplices}
+    ids2 = h2.simplex_ids()
     survivors = [s for s in h1.simplices if s.id not in ids2]
     return _assemble(h1, survivors)
 
@@ -156,10 +157,7 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     leave a vertex declaration behind, so every anti-vertex resolves.
     """
     wanted = {Identifier(x) for x in s}
-    declared = set(h.vertices) | h.simplex_ids()
-    for x in sorted(wanted):
-        if x not in declared:
-            raise UnresolvedIdentifierError(f"{x} does not resolve to a vertex or hypersimplex")
+    require_declared(h, wanted)
 
     out: list[Hypersimplex] = []
     for sim in h.simplices:
@@ -190,3 +188,11 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     kept = [s for s in h.simplices if s.id in closure]
     seed_vertices = [v for v in h.vertices if v in seeds]
     return _assemble(h, kept, extra_vertices=seed_vertices)
+
+
+# The binary operators by name, for the scoped layer and the CLI.
+BINARY: dict[str, Callable[[Hypernetwork, Hypernetwork], Hypernetwork]] = {
+    "merge": merge,
+    "meet": meet,
+    "difference": difference,
+}

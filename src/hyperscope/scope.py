@@ -17,21 +17,16 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable
 
-from .errors import BaseMismatchError, UnresolvedIdentifierError
+from .errors import BaseMismatchError
 from .model import (
     Hypernetwork,
     Identifier,
     View,
     descendants,
+    require_declared,
     structural_digest,
 )
-from .ops import _assemble, difference, merge, meet, prune, split
-
-_SCOPED_OPS: dict[str, Callable[[Hypernetwork, Hypernetwork], Hypernetwork]] = {
-    "merge": merge,
-    "meet": meet,
-    "difference": difference,
-}
+from .ops import BINARY, _assemble, prune, split
 
 
 def visible_set(h: Hypernetwork, b: str) -> set[Identifier]:
@@ -76,21 +71,23 @@ def scoped_apply(op: str, h1: Hypernetwork, h2: Hypernetwork, b: str) -> View:
     introduces exists only in the returned view.
     """
     try:
-        fn = _SCOPED_OPS[op]
+        fn = BINARY[op]
     except KeyError:
         raise ValueError(f"unknown scoped operator {op!r}; expected one of "
-                         + ", ".join(sorted(_SCOPED_OPS))) from None
+                         + ", ".join(sorted(BINARY))) from None
     v1 = project(h1, b)
     v2 = project(h2, b)
     content = fn(v1.content, v2.content)
     return View(base_digest=_pair_digest(v1.base_digest, v2.base_digest), content=content)
 
 
-def _require_visible(content: Hypernetwork, names: Iterable[str], b: str) -> None:
-    declared = set(content.vertices) | content.simplex_ids()
-    for x in sorted(set(names)):
-        if x not in declared:
-            raise UnresolvedIdentifierError(f"{x} is not visible under boundary {b}")
+def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],
+            h: Hypernetwork, names: Iterable[str], b: str) -> View:
+    """Apply a unary operator to the ``b`` view; every name must be visible."""
+    base = project(h, b)
+    names = {Identifier(x) for x in names}
+    require_declared(base.content, names, f"is not visible under boundary {b}")
+    return View(base_digest=base.base_digest, content=op(base.content, names))
 
 
 def scoped_prune(h: Hypernetwork, s: Iterable[str], b: str) -> View:
@@ -99,10 +96,7 @@ def scoped_prune(h: Hypernetwork, s: Iterable[str], b: str) -> View:
     Every member of ``s`` must be visible under ``b``. Anti-vertices the
     prune introduces appear only in the returned view.
     """
-    base = project(h, b)
-    names = {Identifier(x) for x in s}
-    _require_visible(base.content, names, b)
-    return View(base_digest=base.base_digest, content=prune(base.content, names))
+    return _scoped(prune, h, s, b)
 
 
 def scoped_split(h: Hypernetwork, c: Iterable[str], b: str) -> View:
@@ -111,10 +105,7 @@ def scoped_split(h: Hypernetwork, c: Iterable[str], b: str) -> View:
     Projection does not enforce closure, so this coincides with projection
     exactly when every hypersimplex of the requested closure carries ``b``.
     """
-    base = project(h, b)
-    names = {Identifier(x) for x in c}
-    _require_visible(base.content, names, b)
-    return View(base_digest=base.base_digest, content=split(base.content, names))
+    return _scoped(split, h, c, b)
 
 
 def _checked_same_base(v1: View, v2: View) -> str:
@@ -156,7 +147,7 @@ def view_union(v1: View, v2: View) -> View:
     projection pair agree on them by construction.
     """
     base = _checked_same_base(v1, v2)
-    ids1 = {s.id for s in v1.content.simplices}
+    ids1 = v1.content.simplex_ids()
     sims = tuple(v1.content.simplices) + tuple(
         s for s in v2.content.simplices if s.id not in ids1
     )

@@ -40,24 +40,23 @@ from .errors import (
     HtSyntaxError,
     UnresolvedIdentifierError,
 )
-from .model import Hypernetwork, Hypersimplex, Identifier, Kind, Participant, RelationSymbol
+from .model import (NAME, Hypernetwork, Hypersimplex, Identifier, Kind, Participant,
+                    RelationSymbol, is_identifier)
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+|[<>();,=:!]")
-_IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]")
 
 # Whole-line forms of the three declarations. A line one of them accepts
 # parses to the same value and name column on the token path below
 # (tests/test_text.py checks this differentially); any other line takes the
 # token path, which owns every diagnostic. No two ``\s*`` are ever adjacent
 # without a literal between them, so a rejected line costs linear time.
-_NAME = r"[A-Za-z0-9_-]+"
-_NAMES = rf"{_NAME}(?:\s*,\s*{_NAME})*"
-_REF = rf"(?:!\s*)?{_NAME}"
+_NAMES = rf"{NAME}(?:\s*,\s*{NAME})*"
+_REF = rf"(?:!\s*)?{NAME}"
 _END = r"\s*(?:#.*)?\Z"
-_VERTEX_RE = re.compile(rf"\s*vertex\s+({_NAME}){_END}")
-_RELATION_RE = re.compile(rf"\s*relation\s+({_NAME})\s*\(\s*({_NAMES})\s*\){_END}")
+_VERTEX_RE = re.compile(rf"\s*vertex\s+({NAME}){_END}")
+_RELATION_RE = re.compile(rf"\s*relation\s+({NAME})\s*\(\s*({_NAMES})\s*\){_END}")
 _SIMPLEX_RE = re.compile(
-    rf"\s*({_NAME})\s*=\s*<\s*({_REF}(?:\s*,\s*{_REF})*)\s*;\s*({_NAME})"
+    rf"\s*({NAME})\s*=\s*<\s*({_REF}(?:\s*,\s*{_REF})*)\s*;\s*({NAME})"
     rf"(?:\s*;\s*({_NAMES}))?\s*>(?:\s*:\s*(alpha|beta))?{_END}"
 )
 
@@ -128,7 +127,7 @@ class _Token:
 
     @property
     def is_ident(self) -> bool:
-        return bool(_IDENT_RE.match(self.text))
+        return is_identifier(self.text)
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -302,29 +301,33 @@ def _declarations(text: str) -> Iterator[tuple[_Decl, int, int]]:
             yield found[0], lineno, found[1]
 
 
-def _raise_for(violation: axioms.Violation, text: str) -> None:
+_ERRORS = {
+    "A1": UnresolvedIdentifierError,
+    "A2": UnresolvedIdentifierError,
+    "A4": ArityError,
+    "A5": DuplicateIdentifierError,
+    "WELLFORMED": CycleError,
+}
+
+
+def _raise_for(report: axioms.ValidationReport, text: str) -> None:
     # Spans are only needed here, so the source is scanned again for them
     # rather than recorded on every parse. A vertex declaration is its own
     # name; the others carry it as ``id``.
+    violation = report.violations[0]
     at = [
         SourceSpan(line, column)
         for decl, line, column in _declarations(text)
         if getattr(decl, "id", decl) == violation.subject
     ] or [None]
-    span = at[0]
-    message = violation.message
-    if violation.axiom == "A1" and message.startswith(axioms._DUP_PREFIX):
-        span = at[1] if len(at) > 1 else at[0]
-        raise DuplicateIdentifierError(message, span)
-    if violation.axiom == "A5":
-        raise DuplicateIdentifierError(message, span)
-    if violation.axiom in ("A1", "A2"):
-        raise UnresolvedIdentifierError(message, span)
-    if violation.axiom == "A4":
-        raise ArityError(message, span)
-    if violation.axiom == "WELLFORMED":
-        raise CycleError(message, span)
-    raise HtSyntaxError(message, span)
+    # ``validate`` appends duplicate declarations first and sorts stably, so
+    # an A1 on a subject declared twice is the duplicate, at its second span.
+    if violation.axiom == "A1" and len(at) > 1:
+        error = DuplicateIdentifierError(violation.message, at[1])
+    else:
+        error = _ERRORS.get(violation.axiom, HtSyntaxError)(violation.message, at[0])
+    error.report = report
+    raise error
 
 
 def parse_unchecked(text: str) -> Hypernetwork:
@@ -348,12 +351,13 @@ def parse(text: str) -> Hypernetwork:
 
     Semantic defects (duplicate declarations, unresolved references, arity
     mismatches, duplicate tags, containment cycles) are rejected eagerly
-    with the declaration's source position attached.
+    with the declaration's source position attached. The error describes
+    the first violation; its ``report`` holds the whole ValidationReport.
     """
     h = parse_unchecked(text)
     report = axioms.validate(h)
     if not report.ok:
-        _raise_for(report.violations[0], text)
+        _raise_for(report, text)
     return h
 
 

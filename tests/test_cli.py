@@ -101,6 +101,37 @@ def test_scoped_difference(workdir, capsys, emergency):
     assert out == ""
 
 
+def test_global_prune(workdir, capsys, emergency):
+    from hyperscope import prune
+
+    code, out, err = _run(
+        capsys, ["op", "prune", str(workdir / "emergency.ht"), "--elements", "equipment,report"]
+    )
+    assert code == 0
+    assert out == serialize(prune(emergency, ["equipment", "report"]))
+
+
+def test_scoped_split_through_cli(workdir, capsys, bicycle):
+    from hyperscope import scoped_split
+
+    code, out, err = _run(
+        capsys,
+        ["op", "split", str(workdir / "bicycle.ht"), "--closure", "bicycle", "--boundary", "b_cyclist"],
+    )
+    assert code == 0
+    assert out == serialize(scoped_split(bicycle, ["bicycle"], "b_cyclist").content)
+
+
+@pytest.mark.parametrize("op, wrong, right", [
+    ("prune", "--closure", "--elements"),
+    ("split", "--elements", "--closure"),
+])
+def test_unary_op_rejects_the_other_operators_option(workdir, capsys, op, wrong, right):
+    code, out, err = _run(capsys, ["op", op, str(workdir / "bicycle.ht"), wrong, "frame"])
+    assert (code, out) == (2, "")
+    assert f"required: {right}" in err
+
+
 def test_split_command(workdir, capsys, bicycle):
     from hyperscope import split
 

@@ -113,6 +113,10 @@ class TestDescendants:
         with pytest.raises(UnresolvedIdentifierError):
             descendants(bicycle, {"ghost"})
 
+    def test_malformed_root_is_unresolved_not_a_value_error(self, bicycle):
+        with pytest.raises(UnresolvedIdentifierError):
+            descendants(bicycle, ["frame", "not an identifier"])
+
     def test_excluded_refs_not_traversed(self):
         h = Hypernetwork(
             vertices=(Identifier("a"), Identifier("b")),

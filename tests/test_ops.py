@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hyperscope import (
@@ -225,6 +230,25 @@ class TestSplit:
     def test_unresolved_seed(self, ecology):
         with pytest.raises(UnresolvedIdentifierError):
             split(ecology, {"ghost"})
+
+    @pytest.mark.parametrize("op", ["split", "prune"])
+    def test_unresolved_error_names_the_least_name_under_any_hash_seed(self, op):
+        # Seeds and prune members are held in sets; the error must not name
+        # whichever missing name the set happens to yield first.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import hyperscope as hs\n"
+            "try:\n"
+            f"    hs.{op}(hs.load_fixture('E1'), ['zz1', 'aa2', 'mm3'])\n"
+            "except hs.UnresolvedIdentifierError as exc:\n"
+            "    print(exc)\n"
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True, timeout=60).stdout
+            assert out == "aa2 does not resolve to a vertex or hypersimplex\n", (seed, out)
 
 
 class TestOperatorHygiene:

@@ -284,6 +284,10 @@ PINNED_ERRORS = [
     ("relation R()\n", HtSyntaxError, "expected role name, got ')'", 1, 12),
     ("x = < a ; R > : beta extra\n", HtSyntaxError,
      "unexpected 'extra' at end of declaration", 1, 22),
+    ("vertex a\nrelation R(r1)\nx = < !ghost ; R >\n", UnresolvedIdentifierError,
+     "anti-vertex ghost does not resolve", 3, 1),
+    ("vertex a\nrelation R(r1)\nx = < ghost ; R >\nx = < a ; R >\n", DuplicateIdentifierError,
+     "duplicate declaration of x (first declared as a hypersimplex)", 4, 1),
 ]
 
 
@@ -294,6 +298,17 @@ def test_error_diagnostics_are_pinned(src, kind, message, line, column):
     assert type(err.value) is kind
     assert err.value.args[0] == message
     assert err.value.span == SourceSpan(line, column)
+
+
+def test_parse_error_carries_the_whole_report():
+    src = "vertex a\nvertex a\nrelation R(r1)\nx = < ghost ; R >\n"
+    with pytest.raises(DuplicateIdentifierError) as err:
+        parse(src)
+    assert err.value.args[0] == "duplicate declaration of a (first declared as a vertex)"
+    assert err.value.span == SourceSpan(2, 8)
+    assert err.value.report == validate(parse_unchecked(src))
+    assert [(v.axiom, v.subject) for v in err.value.report.violations] == [
+        ("A1", "a"), ("A1", "x")]
 
 
 def test_rejected_long_lines_cost_linear_time():
