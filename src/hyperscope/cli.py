@@ -22,19 +22,15 @@ class _UsageError(Exception):
     pass
 
 
-class _InputError(_UsageError):
-    pass
-
-
 def _load(path: str, parse=text.parse) -> Hypernetwork:
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(source)
     except HypernetworkError as exc:
-        raise _InputError(f"{path}: {exc.code}: {exc}") from exc
+        raise _UsageError(f"{path}: {exc.code}: {exc}") from exc
 
 
 def _ident(raw: str, what: str) -> Identifier:

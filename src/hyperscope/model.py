@@ -85,8 +85,9 @@ class RelationSymbol:
             raise ValueError(f"relation {self.id} must declare at least one role")
         if len(set(self.roles)) != len(self.roles):
             raise ValueError(f"relation {self.id} has duplicate role names")
-        if any(not r for r in self.roles):
-            raise ValueError(f"relation {self.id} has an empty role name")
+        for r in self.roles:
+            if not is_identifier(r):
+                raise ValueError(f"relation {self.id} has an invalid role name: {r!r}")
 
     @property
     def arity(self) -> int:
@@ -187,7 +188,7 @@ class View:
 
     base_digest: str
     content: Hypernetwork
-    boundary: Identifier | None = None
+    boundary: str | None = None
 
 
 def require_declared(h: Hypernetwork, names: Iterable[str],
@@ -215,13 +216,11 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     Raises UnresolvedIdentifierError when a root is neither a declared
     vertex nor a declared hypersimplex of ``h``.
     """
-    roots = list(roots)
-    require_declared(h, roots)
+    stack = list(roots)
+    require_declared(h, stack)
     by_id: dict[str, Hypersimplex] = {}
     for s in h.simplices:
         by_id.setdefault(s.id, s)
-
-    stack = [Identifier(r) for r in roots]
 
     out: set[Identifier] = set()
     while stack:

@@ -17,13 +17,12 @@ place, still resolves and arity is preserved.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import IdentityConflictError
 from .model import (
     Hypernetwork,
     Hypersimplex,
-    Identifier,
     Participant,
     descendants,
     require_declared,
@@ -35,9 +34,9 @@ def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
     """Self-contained hypernetwork over ``sims``, declarations drawn from ``h``.
 
     Keeps exactly the vertex and relation declarations the simplices
-    reference (plus ``extra_vertices``), in ``h``'s order; references to
-    hypersimplices of ``h`` that are not among ``sims`` are demoted to
-    vertex declarations so they still resolve.
+    reference (plus the vertices of ``h`` that ``extra_vertices`` names), in
+    ``h``'s order; references to hypersimplices of ``h`` that are not among
+    ``sims`` are demoted to vertex declarations so they still resolve.
     """
     sims = tuple(sims)
     refs: set[str] = set()
@@ -65,11 +64,14 @@ def _declaration_kinds(h: Hypernetwork) -> dict[str, str]:
     return kinds
 
 
-def _check_shared_declarations(h1: Hypernetwork, h2: Hypernetwork) -> None:
-    """Reject same-identifier declarations with different content.
+def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
+    """Each hypersimplex of ``h1`` with ``h2``'s of the same id, or None.
 
-    Identity is global: one name may not stand for a vertex on one side and
-    a hypersimplex on the other, nor for two different relation symbols.
+    Rejects same-identifier declarations with different content, checked as
+    iteration runs, kinds and relations before the first pair. Identity is
+    global: one name may not stand for a vertex on one side and a
+    hypersimplex on the other, nor for two different relation symbols, and
+    a hypersimplex named in both must be structurally equal (tags aside).
     """
     k1 = _declaration_kinds(h1)
     k2 = _declaration_kinds(h2)
@@ -82,6 +84,12 @@ def _check_shared_declarations(h1: Hypernetwork, h2: Hypernetwork) -> None:
         other = rel2.get(r.id)
         if other is not None and other != r:
             raise IdentityConflictError(f"relation {r.id} declared with different roles")
+    sims2 = {s.id: s for s in h2.simplices}
+    for s in h1.simplices:
+        t = sims2.get(s.id)
+        if t is not None and not s.structurally_equal(t):
+            raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
+        yield s, t
 
 
 def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
@@ -92,23 +100,13 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     aside) and carries the union of both tag sets, ``h1``'s tag order
     first; shared vertices and relations must be identical.
     """
-    _check_shared_declarations(h1, h2)
-
     v1 = set(h1.vertices)
     vertices = tuple(h1.vertices) + tuple(v for v in h2.vertices if v not in v1)
     rel1 = {r.id for r in h1.relations}
     relations = tuple(h1.relations) + tuple(r for r in h2.relations if r.id not in rel1)
 
-    sims2 = {s.id: s for s in h2.simplices}
-    out: list[Hypersimplex] = []
-    for s in h1.simplices:
-        t = sims2.get(s.id)
-        if t is None:
-            out.append(s)
-            continue
-        if not s.structurally_equal(t):
-            raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
-        out.append(replace(s, tags=s.tags + tuple(x for x in t.tags if x not in s.tags)))
+    out = [s if t is None else replace(s, tags=s.tags + tuple(x for x in t.tags if x not in s.tags))
+           for s, t in _paired(h1, h2)]
     ids1 = h1.simplex_ids()
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))
@@ -121,18 +119,11 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     structurally, tags aside) with the intersection of their tag sets, plus
     the declarations the survivors reference. Order follows ``h1``.
     """
-    _check_shared_declarations(h1, h2)
-
-    sims2 = {s.id: s for s in h2.simplices}
     survivors: list[Hypersimplex] = []
-    for s in h1.simplices:
-        t = sims2.get(s.id)
-        if t is None:
-            continue
-        if not s.structurally_equal(t):
-            raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
-        other_tags = set(t.tags)
-        survivors.append(replace(s, tags=tuple(x for x in s.tags if x in other_tags)))
+    for s, t in _paired(h1, h2):
+        if t is not None:
+            other_tags = set(t.tags)
+            survivors.append(replace(s, tags=tuple(x for x in s.tags if x in other_tags)))
     return _assemble(h1, survivors)
 
 
@@ -156,7 +147,7 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     members of ``s`` keep their declaration, and removed hypersimplices
     leave a vertex declaration behind, so every anti-vertex resolves.
     """
-    wanted = {Identifier(x) for x in s}
+    wanted = set(s)
     require_declared(h, wanted)
 
     out: list[Hypersimplex] = []
@@ -183,11 +174,10 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     vertices and relation symbols that content references. Nothing outside
     ``h`` can enter, and the closure never escapes upward or sideways.
     """
-    seeds = {Identifier(x) for x in c}
+    seeds = set(c)
     closure = descendants(h, seeds)
     kept = [s for s in h.simplices if s.id in closure]
-    seed_vertices = [v for v in h.vertices if v in seeds]
-    return _assemble(h, kept, extra_vertices=seed_vertices)
+    return _assemble(h, kept, extra_vertices=seeds)
 
 
 # The binary operators by name, for the scoped layer and the CLI.

@@ -13,7 +13,11 @@ from hyperscope import (
     RelationSymbol,
     UnresolvedIdentifierError,
     descendants,
+    prune,
+    scoped_prune,
+    scoped_split,
     serialize,
+    split,
     structural_digest,
 )
 
@@ -52,6 +56,13 @@ class TestConstructors:
     def test_relation_rejects_empty_role(self):
         with pytest.raises(ValueError):
             RelationSymbol(Identifier("R"), ("r1", ""))
+
+    # A role that is not an identifier would serialize to text that does not
+    # parse back, or parses back with a different arity.
+    @pytest.mark.parametrize("bad", ["r 1", "a,b", "r)"])
+    def test_relation_rejects_non_identifier_role(self, bad):
+        with pytest.raises(ValueError):
+            RelationSymbol(Identifier("R"), ("r0", bad))
 
     def test_simplex_needs_participants(self):
         with pytest.raises(ValueError):
@@ -113,9 +124,18 @@ class TestDescendants:
         with pytest.raises(UnresolvedIdentifierError):
             descendants(bicycle, {"ghost"})
 
-    def test_malformed_root_is_unresolved_not_a_value_error(self, bicycle):
-        with pytest.raises(UnresolvedIdentifierError):
-            descendants(bicycle, ["frame", "not an identifier"])
+    # Every name-taking function resolves names with one check, and a
+    # malformed name is never declared, so it is unresolved like any other.
+    @pytest.mark.parametrize("call", [
+        descendants,
+        prune,
+        split,
+        lambda h, names: scoped_prune(h, names, "b_cyclist"),
+        lambda h, names: scoped_split(h, names, "b_cyclist"),
+    ], ids=["descendants", "prune", "split", "scoped_prune", "scoped_split"])
+    def test_malformed_root_is_unresolved_not_a_value_error(self, bicycle, call):
+        with pytest.raises(UnresolvedIdentifierError, match=r"^not an identifier "):
+            call(bicycle, ["frame", "not an identifier"])
 
     def test_excluded_refs_not_traversed(self):
         h = Hypernetwork(

@@ -251,6 +251,30 @@ class TestSplit:
             assert out == "aa2 does not resolve to a vertex or hypersimplex\n", (seed, out)
 
 
+def _conflicting(*, kind=False, roles=False, content=False):
+    """A network that clashes with ``_one_simplex_net([])`` in the named ways."""
+    vertices = [Identifier("a"), Identifier("b")] + ([Identifier("R")] if kind else [])
+    relation = RelationSymbol(Identifier("R"), ("r2",) if roles else ("r1",))
+    participant = Identifier("b" if content else "a")
+    return Hypernetwork(
+        tuple(vertices),
+        (relation,),
+        (Hypersimplex(Identifier("x"), (Participant(participant),), Identifier("R")),),
+    )
+
+
+@pytest.mark.parametrize("op", [merge, meet])
+@pytest.mark.parametrize("clash, message", [
+    (dict(content=True), "hypersimplex x has different content in the two inputs"),
+    (dict(roles=True, content=True), "relation R declared with different roles"),
+    (dict(kind=True, roles=True, content=True), "R is a relation in one input and a vertex in the other"),
+], ids=["content", "roles-then-content", "kind-then-roles"])
+def test_conflict_messages_and_their_order(op, clash, message):
+    with pytest.raises(IdentityConflictError) as exc:
+        op(_one_simplex_net([]), _conflicting(**clash))
+    assert str(exc.value) == message
+
+
 class TestOperatorHygiene:
     def test_inputs_unchanged(self, bicycle, emergency):
         before = (serialize(bicycle), serialize(emergency))

@@ -99,6 +99,12 @@ class TestProject:
         project(bicycle, "b_cyclist")
         assert serialize(bicycle) == before
 
+    def test_malformed_tag_projects_like_an_unknown_tag(self, bicycle):
+        bad, unknown = project(bicycle, "a b"), project(bicycle, "b_ghost")
+        assert bad.content == unknown.content == Hypernetwork()
+        assert bad.base_digest == unknown.base_digest
+        assert visible_set(bicycle, "a b") == set()
+
     def test_view_provenance(self, ecology):
         from hyperscope import structural_digest
 
@@ -130,6 +136,10 @@ class TestScopedApply:
     def test_meet_of_disjoint_extents_is_empty(self, ecology):
         h_a = _net(["a"], [("R", ("r1",))], [_sx("x", ["a"], "R", tags=["b"])])
         assert scoped_apply("meet", h_a, ecology, "b").content == Hypernetwork()
+
+    @pytest.mark.parametrize("op", ["merge", "meet", "difference"])
+    def test_malformed_tag_applies_like_an_unknown_tag(self, bicycle, op):
+        assert scoped_apply(op, bicycle, bicycle, "a b") == scoped_apply(op, bicycle, bicycle, "b_ghost")
 
     def test_unknown_operator(self, ecology):
         with pytest.raises(ValueError):
@@ -174,6 +184,12 @@ class TestScopedPrune:
         # strength exists globally but is not visible in the cyclist view
         with pytest.raises(UnresolvedIdentifierError):
             scoped_prune(bicycle, {"strength"}, "b_cyclist")
+
+    @pytest.mark.parametrize("scoped", [scoped_prune, scoped_split])
+    def test_nothing_is_visible_under_a_malformed_tag(self, bicycle, scoped):
+        with pytest.raises(UnresolvedIdentifierError) as exc:
+            scoped(bicycle, {"bicycle"}, "a b")
+        assert str(exc.value) == "bicycle is not visible under boundary a b"
 
     def test_backcloth_byte_identical(self, bicycle):
         before = serialize(bicycle)
