@@ -3,7 +3,8 @@
 Commands read hypernetwork files, never rewrite them, and print canonical
 ``.ht`` text (or a report, or a digest) to stdout, so the output of one
 command is valid input to the next. Exit codes: 0 success, 1 validation
-failure, 2 usage or file-parse error, 3 operation error.
+failure, 2 usage or file error (an unreadable or unparsable input, an
+unwritable ``--out``), 3 operation error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class _UsageError(Exception):
 def _load(path: str, parse=text.parse) -> Hypernetwork:
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(source)
@@ -54,7 +55,10 @@ def _emit(out_text: str, ns: argparse.Namespace, inputs: list[str]) -> int:
     for p in inputs:
         if out_path == Path(p).resolve():
             raise _UsageError(f"--out {out} would overwrite an input file")
-    out_path.write_text(out_text, encoding="utf-8")
+    try:
+        out_path.write_text(out_text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from exc
     return 0
 
 

@@ -105,8 +105,12 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     rel1 = {r.id for r in h1.relations}
     relations = tuple(h1.relations) + tuple(r for r in h2.relations if r.id not in rel1)
 
-    out = [s if t is None else replace(s, tags=s.tags + tuple(x for x in t.tags if x not in s.tags))
-           for s, t in _paired(h1, h2)]
+    out = []
+    for s, t in _paired(h1, h2):
+        if t is not None:
+            own = set(s.tags)
+            s = replace(s, tags=s.tags + tuple(x for x in t.tags if x not in own))
+        out.append(s)
     ids1 = h1.simplex_ids()
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from . import axioms
 from .errors import (
@@ -43,7 +43,8 @@ from .errors import (
 from .model import (NAME, Hypernetwork, Hypersimplex, Identifier, Kind, Participant,
                     RelationSymbol, is_identifier)
 
-_TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]")
+# A token, or (group 1) a stray character no token starts with.
+_TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
 # Whole-line forms of the three declarations. A line one of them accepts
 # parses to the same value and name column on the token path below
@@ -120,149 +121,101 @@ def _match_line(line: str, names: _Names, slots: _Slots) -> tuple[_Decl, int] | 
     return None
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
-
-    @property
-    def is_ident(self) -> bool:
-        return is_identifier(self.text)
-
-
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(line):
-        gap = line[pos : m.start()]
-        if gap.strip():
-            bad = len(gap) - len(gap.lstrip())
-            raise HtSyntaxError(
-                f"unexpected character {gap.strip()[0]!r}",
-                SourceSpan(lineno, pos + bad + 1),
-            )
-        tokens.append(_Token(m.group(), SourceSpan(lineno, m.start() + 1)))
-        pos = m.end()
-    tail = line[pos:]
-    if tail.strip():
-        bad = len(tail) - len(tail.lstrip())
-        raise HtSyntaxError(
-            f"unexpected character {tail.strip()[0]!r}",
-            SourceSpan(lineno, pos + bad + 1),
-        )
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
+    """The tokens of one comment-stripped line, read left to right."""
+
+    def __init__(self, line: str, lineno: int):
         self.lineno = lineno
         self.at = 0
+        self.tokens: list[re.Match] = []
+        for m in _TOKEN_RE.finditer(line):
+            if m.lastindex:
+                raise HtSyntaxError(f"unexpected character {m[0]!r}", self.span(m))
+            self.tokens.append(m)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
+    def span(self, tok: re.Match) -> SourceSpan:
+        return SourceSpan(self.lineno, tok.start() + 1)
 
-    def _end_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1]
-            return SourceSpan(self.lineno, last.span.column + len(last.text))
-        return SourceSpan(self.lineno, 1)
+    def peek(self) -> str | None:
+        return self.tokens[self.at][0] if self.at < len(self.tokens) else None
 
-    def take(self, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise HtSyntaxError(f"expected {expected!r}", self._end_span())
-        if tok.text != expected:
-            raise HtSyntaxError(f"expected {expected!r}, got {tok.text!r}", tok.span)
+    def accept(self, text: str) -> bool:
+        if self.peek() != text:
+            return False
         self.at += 1
-        return tok
+        return True
 
-    def take_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise HtSyntaxError(f"expected {what}", self._end_span())
-        if not tok.is_ident:
-            raise HtSyntaxError(f"expected {what}, got {tok.text!r}", tok.span)
+    def fail(self, what: str) -> NoReturn:
+        if self.at == len(self.tokens):
+            raise HtSyntaxError(f"expected {what}", SourceSpan(self.lineno, self.tokens[-1].end() + 1))
+        tok = self.tokens[self.at]
+        raise HtSyntaxError(f"expected {what}, got {tok[0]!r}", self.span(tok))
+
+    def take(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(repr(text))
+
+    def take_ident(self, what: str) -> re.Match:
+        if not is_identifier(self.peek()):
+            self.fail(what)
         self.at += 1
-        return tok
+        return self.tokens[self.at - 1]
+
+    def take_idents(self, what: str) -> list[re.Match]:
+        """A comma-separated list of one or more identifiers."""
+        found = [self.take_ident(what)]
+        while self.accept(","):
+            found.append(self.take_ident(what))
+        return found
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise HtSyntaxError(f"unexpected {tok.text!r} at end of declaration", tok.span)
+        if self.at < len(self.tokens):
+            tok = self.tokens[self.at]
+            raise HtSyntaxError(f"unexpected {tok[0]!r} at end of declaration", self.span(tok))
 
 
 def _parse_relation(cur: _Cursor) -> tuple[RelationSymbol, int]:
-    cur.take("relation")
     name = cur.take_ident("relation name")
     cur.take("(")
-    roles = [cur.take_ident("role name")]
-    while cur.peek() is not None and cur.peek().text == ",":
-        cur.take(",")
-        roles.append(cur.take_ident("role name"))
+    roles = cur.take_idents("role name")
     cur.take(")")
     cur.expect_end()
     seen: set[str] = set()
     for r in roles:
-        if r.text in seen:
-            raise HtSyntaxError(f"duplicate role name {r.text!r}", r.span)
-        seen.add(r.text)
-    relation = RelationSymbol(Identifier(name.text), tuple(r.text for r in roles))
-    return relation, name.span.column
+        if r[0] in seen:
+            raise HtSyntaxError(f"duplicate role name {r[0]!r}", cur.span(r))
+        seen.add(r[0])
+    return RelationSymbol(Identifier(name[0]), tuple(r[0] for r in roles)), name.start() + 1
 
 
 def _parse_simplex(cur: _Cursor) -> tuple[Hypersimplex, int]:
     name = cur.take_ident("hypersimplex name")
     cur.take("=")
     cur.take("<")
-
     participants: list[Participant] = []
-    while True:
-        excluded = False
-        tok = cur.peek()
-        if tok is not None and tok.text == "!":
-            cur.take("!")
-            excluded = True
+    while not participants or cur.accept(","):
+        excluded = cur.accept("!")
         ref = cur.take_ident("participant")
-        participants.append(Participant(Identifier(ref.text), excluded=excluded))
-        tok = cur.peek()
-        if tok is not None and tok.text == ",":
-            cur.take(",")
-            continue
-        break
+        participants.append(Participant(Identifier(ref[0]), excluded=excluded))
     cur.take(";")
     relation = cur.take_ident("relation name")
-
-    tags: list[Identifier] = []
-    tok = cur.peek()
-    if tok is not None and tok.text == ";":
-        cur.take(";")
-        tags.append(Identifier(cur.take_ident("boundary tag").text))
-        while cur.peek() is not None and cur.peek().text == ",":
-            cur.take(",")
-            tags.append(Identifier(cur.take_ident("boundary tag").text))
+    tags = cur.take_idents("boundary tag") if cur.accept(";") else []
     cur.take(">")
-
     kind = Kind.ALPHA
-    tok = cur.peek()
-    if tok is not None and tok.text == ":":
-        cur.take(":")
-        ktok = cur.take_ident("kind (alpha or beta)")
-        if ktok.text == "alpha":
-            kind = Kind.ALPHA
-        elif ktok.text == "beta":
-            kind = Kind.BETA
-        else:
-            raise HtSyntaxError(f"expected alpha or beta, got {ktok.text!r}", ktok.span)
+    if cur.accept(":"):
+        word = cur.take_ident("kind (alpha or beta)")
+        if word[0] not in ("alpha", "beta"):
+            raise HtSyntaxError(f"expected alpha or beta, got {word[0]!r}", cur.span(word))
+        kind = Kind(word[0])
     cur.expect_end()
     simplex = Hypersimplex(
-        Identifier(name.text),
+        Identifier(name[0]),
         tuple(participants),
-        Identifier(relation.text),
+        Identifier(relation[0]),
         kind,
-        tuple(tags),
+        tuple(Identifier(t[0]) for t in tags),
     )
-    return simplex, name.span.column
+    return simplex, name.start() + 1
 
 
 def _parse_line(line: str, lineno: int) -> tuple[_Decl, int] | None:
@@ -271,21 +224,18 @@ def _parse_line(line: str, lineno: int) -> tuple[_Decl, int] | None:
     Returns None for a blank or comment-only line, and raises the line's
     ``HtSyntaxError`` for anything malformed.
     """
-    tokens = _tokenize(line.split("#", 1)[0], lineno)
-    if not tokens:
+    cur = _Cursor(line.split("#", 1)[0], lineno)
+    if not cur.tokens:
         return None
-    cur = _Cursor(tokens, lineno)
-    head = tokens[0]
-    nxt = tokens[1] if len(tokens) > 1 else None
     # "vertex" and "relation" are not reserved: a second token "="
     # means the line declares a hypersimplex of that name.
-    if head.text == "vertex" and (nxt is None or nxt.text != "="):
-        cur.take("vertex")
-        name = cur.take_ident("vertex name")
-        cur.expect_end()
-        return Identifier(name.text), name.span.column
-    if head.text == "relation" and (nxt is None or nxt.text != "="):
-        return _parse_relation(cur)
+    if len(cur.tokens) == 1 or cur.tokens[1][0] != "=":
+        if cur.accept("vertex"):
+            name = cur.take_ident("vertex name")
+            cur.expect_end()
+            return Identifier(name[0]), name.start() + 1
+        if cur.accept("relation"):
+            return _parse_relation(cur)
     return _parse_simplex(cur)
 
 

@@ -89,6 +89,20 @@ def test_duplicate_tag_is_a5():
     assert [v.axiom for v in validate(h).violations] == ["A5"]
 
 
+def test_malformed_declaration_name_is_a1():
+    h = Hypernetwork(("a b",), (), ())
+    assert [(v.axiom, v.subject, v.message) for v in validate(h).violations] == [
+        ("A1", "a b", "'a b' is not a well-formed identifier")]
+
+
+def test_malformed_tag_is_a5_and_never_a_duplicate():
+    sim = _sx("x", ["a"], "R")
+    sim = Hypersimplex(sim.id, sim.participants, sim.relation, sim.kind, ("a b", "a b"))
+    h = Hypernetwork((Identifier("a"),), (_r("R", "r1"),), (sim,))
+    assert [(v.axiom, v.subject, v.message) for v in validate(h).violations] == [
+        ("A5", "x", "tag 'a b' is not a well-formed identifier")] * 2
+
+
 def test_containment_cycle_is_wellformed():
     h = Hypernetwork(
         vertices=(),

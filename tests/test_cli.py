@@ -226,6 +226,33 @@ def test_missing_file_exits_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("args, error", [
+    (["fmt", "latin1.ht"], "cannot read latin1.ht"),
+    (["fmt", "bicycle.ht", "--out", "missing/out.ht"], "cannot write missing/out.ht"),
+    (["fmt", "bicycle.ht", "--out", "."], "cannot write ."),
+])
+def test_file_error_exits_2_with_one_line(workdir, capsys, monkeypatch, args, error):
+    monkeypatch.chdir(workdir)
+    (workdir / "latin1.ht").write_bytes(b"vertex caf\xe9\n")
+    code, out, err = _run(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["op", "prune", "bicycle.ht", "--elements", "a b"], "invalid element name: 'a b'"),
+    (["op", "split", "bicycle.ht", "--closure", "bike,a b"], "invalid closure seed: 'a b'"),
+    (["project", "bicycle.ht", "--boundary", "a b"], "invalid boundary tag: 'a b'"),
+    (["views", "intersect", "bicycle.ht", "--boundaries", "b_person,a b"],
+     "invalid boundary tag: 'a b'"),
+])
+def test_malformed_name_is_a_usage_error(workdir, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(workdir)
+    code, out, err = _run(capsys, args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_operation_error_exits_3(workdir, capsys):
     a = workdir / "a.ht"
     b = workdir / "b.ht"

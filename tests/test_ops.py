@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,14 @@ class TestMerge:
     def test_tag_union_keeps_left_order(self):
         merged = merge(_one_simplex_net(["p", "q"]), _one_simplex_net(["q", "z"]))
         assert merged.simplices[0].tags == ("p", "q", "z")
+
+    def test_tag_union_costs_linear_time(self):
+        left = _one_simplex_net([f"p{i}" for i in range(16_000)])
+        right = _one_simplex_net([f"q{i}" for i in range(16_000)])
+        start = time.perf_counter()
+        merged = merge(left, right)
+        assert time.perf_counter() - start < 3.0
+        assert merged.simplices[0].tags == left.simplices[0].tags + right.simplices[0].tags
 
     def test_identity_conflict_on_different_participants(self):
         h_a = _one_simplex_net(["p"])
