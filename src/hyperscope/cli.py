@@ -25,7 +25,9 @@ class _UsageError(Exception):
 
 def _load(path: str, parse=text.parse) -> Hypernetwork:
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        # newline="": parse sees the file's own line breaks, as from a str
+        with Path(path).open(encoding="utf-8", newline="") as f:
+            source = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
@@ -46,19 +48,25 @@ def _ident_list(raw: str, what: str) -> list[Identifier]:
     return [_ident(n, what) for n in names]
 
 
-def _emit(out_text: str, ns: argparse.Namespace, inputs: list[str]) -> int:
-    out = getattr(ns, "out", None)
-    if out is None:
+def _write(ns: argparse.Namespace) -> int:
+    """Load the command's input files, run its operation, write the result.
+
+    ``ns.operation(ns, *networks)`` returns a ``Hypernetwork``, written as
+    canonical ``.ht``, or the text to write as it is.
+    """
+    inputs = [getattr(ns, name) for name in ("file", "file1", "file2") if name in ns]
+    result = ns.operation(ns, *map(_load, inputs))
+    out_text = result if isinstance(result, str) else text.serialize(result)
+    if ns.out is None:
         sys.stdout.write(out_text)
         return 0
-    out_path = Path(out).resolve()
-    for p in inputs:
-        if out_path == Path(p).resolve():
-            raise _UsageError(f"--out {out} would overwrite an input file")
+    out_path = Path(ns.out).resolve()
+    if any(out_path == Path(p).resolve() for p in inputs):
+        raise _UsageError(f"--out {ns.out} would overwrite an input file")
     try:
         out_path.write_text(out_text, encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc}") from exc
+        raise _UsageError(f"cannot write {ns.out}: {exc}") from exc
     return 0
 
 
@@ -70,20 +78,14 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_project(ns: argparse.Namespace) -> int:
-    h = _load(ns.file)
-    view = scope.project(h, _ident(ns.boundary, "boundary tag"))
-    return _emit(text.serialize(view.content), ns, [ns.file])
+def _project(ns: argparse.Namespace, h: Hypernetwork) -> Hypernetwork:
+    return scope.project(h, _ident(ns.boundary, "boundary tag")).content
 
 
-def _cmd_op_binary(ns: argparse.Namespace) -> int:
-    h1 = _load(ns.file1)
-    h2 = _load(ns.file2)
-    if ns.boundary is not None:
-        result = scope.scoped_apply(ns.op_name, h1, h2, _ident(ns.boundary, "boundary tag")).content
-    else:
-        result = BINARY[ns.op_name](h1, h2)
-    return _emit(text.serialize(result), ns, [ns.file1, ns.file2])
+def _op_binary(ns: argparse.Namespace, h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
+    if ns.boundary is None:
+        return BINARY[ns.op_name](h1, h2)
+    return scope.scoped_apply(ns.op_name, h1, h2, _ident(ns.boundary, "boundary tag")).content
 
 
 # Unary operators by name: global form, scoped form, the option that
@@ -94,38 +96,20 @@ _UNARY = {
 }
 
 
-def _cmd_op_unary(ns: argparse.Namespace) -> int:
+def _op_unary(ns: argparse.Namespace, h: Hypernetwork) -> Hypernetwork:
     fn, scoped, option, what = _UNARY[ns.op_name]
-    h = _load(ns.file)
     names = _ident_list(getattr(ns, option), what)
-    if ns.boundary is not None:
-        result = scoped(h, names, _ident(ns.boundary, "boundary tag")).content
-    else:
-        result = fn(h, names)
-    return _emit(text.serialize(result), ns, [ns.file])
+    if ns.boundary is None:
+        return fn(h, names)
+    return scoped(h, names, _ident(ns.boundary, "boundary tag")).content
 
 
-def _cmd_views(ns: argparse.Namespace) -> int:
-    h = _load(ns.file)
+def _views(ns: argparse.Namespace, h: Hypernetwork) -> Hypernetwork:
     tags = _ident_list(ns.boundaries, "boundary tag")
     if len(tags) != 2:
         raise _UsageError("--boundaries takes exactly two comma-separated tags")
-    v1 = scope.project(h, tags[0])
-    v2 = scope.project(h, tags[1])
     fn = scope.view_intersect if ns.views_cmd == "intersect" else scope.view_union
-    return _emit(text.serialize(fn(v1, v2).content), ns, [ns.file])
-
-
-def _cmd_fmt(ns: argparse.Namespace) -> int:
-    return _emit(text.serialize(_load(ns.file)), ns, [ns.file])
-
-
-def _cmd_digest(ns: argparse.Namespace) -> int:
-    return _emit(structural_digest(_load(ns.file)) + "\n", ns, [ns.file])
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    return fn(scope.project(h, tags[0]), scope.project(h, tags[1])).content
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate, project, and transform hypernetwork (.ht) files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    writers = {}  # sub-parser -> the operation its command runs
 
     p = sub.add_parser("validate", help="check a file against the axioms")
     p.add_argument("file")
@@ -142,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="boundary projection of a file")
     p.add_argument("file")
     p.add_argument("--boundary", required=True, metavar="TAG")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_project)
+    writers[p] = _project
 
     p = sub.add_parser("op", help="apply a structural operator")
     opsub = p.add_subparsers(dest="op_name", required=True)
@@ -152,33 +136,31 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("file1")
         q.add_argument("file2")
         q.add_argument("--boundary", metavar="TAG", help="apply within this boundary only")
-        _add_out(q)
-        q.set_defaults(handler=_cmd_op_binary)
+        writers[q] = _op_binary
     for name, (_, _, option, _) in _UNARY.items():
         q = opsub.add_parser(name)
         q.add_argument("file")
         q.add_argument(f"--{option}", required=True, metavar="a,b,...")
         q.add_argument("--boundary", metavar="TAG", help=f"{name} within this boundary only")
-        _add_out(q)
-        q.set_defaults(handler=_cmd_op_unary)
+        writers[q] = _op_unary
 
     p = sub.add_parser("views", help="set-theoretic comparison of two projections")
     p.add_argument("views_cmd", choices=("intersect", "union"))
     p.add_argument("file")
     p.add_argument("--boundaries", required=True, metavar="TAG1,TAG2")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_views)
+    writers[p] = _views
 
     p = sub.add_parser("fmt", help="rewrite a file in canonical form (to stdout)")
     p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_fmt)
+    writers[p] = lambda ns, h: h
 
     p = sub.add_parser("digest", help="structural digest of a file")
     p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_digest)
+    writers[p] = lambda ns, h: structural_digest(h) + "\n"
 
+    for p, operation in writers.items():
+        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+        p.set_defaults(handler=_write, operation=operation)
     return parser
 
 

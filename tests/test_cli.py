@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import shutil
 from pathlib import Path
 
 import pytest
 
 from hyperscope import parse, project, serialize, structural_digest
-from hyperscope.cli import main
+from hyperscope.cli import build_parser, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "hyperscope" / "corpus"
 
@@ -53,6 +54,14 @@ def test_fmt_reads_a_utf8_bom_and_crlf_file(workdir, capsys):
     src.write_bytes(b"\xef\xbb\xbfvertex a\r\nrelation R(r1)\r\nx = < a ; R >\r\n")
     code, out, err = _run(capsys, ["fmt", str(src)])
     assert (code, out, err) == (0, "vertex a\nrelation R(r1)\nx = < a ; R > : alpha\n", "")
+
+
+def test_lone_cr_is_not_a_line_break(workdir, capsys):
+    src = workdir / "cr.ht"
+    src.write_bytes(b"vertex a # note\rvertex b\nx = < a, b ; R >\nrelation R(r1, r2)\n")
+    code, out, err = _run(capsys, ["fmt", str(src)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}: E_UNRESOLVED: line 2, column 1: participant b does not resolve\n"
 
 
 def test_project_fire(workdir, capsys, emergency):
@@ -270,3 +279,29 @@ def test_runs_are_deterministic_and_inputs_untouched(workdir, capsys):
     second = _run(capsys, ["project", str(path), "--boundary", "b_cyclist"])
     assert first == second
     assert path.read_bytes() == before
+
+
+def _usages(parser):
+    yield parser.format_usage()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _usages(sub)
+
+
+def test_usage_of_every_command_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert list(_usages(build_parser())) == [
+        "usage: hyperscope [-h] {validate,project,op,views,fmt,digest} ...\n",
+        "usage: hyperscope validate [-h] file\n",
+        "usage: hyperscope project [-h] --boundary TAG [--out FILE] file\n",
+        "usage: hyperscope op [-h] {merge,meet,difference,prune,split} ...\n",
+        "usage: hyperscope op merge [-h] [--boundary TAG] [--out FILE] file1 file2\n",
+        "usage: hyperscope op meet [-h] [--boundary TAG] [--out FILE] file1 file2\n",
+        "usage: hyperscope op difference [-h] [--boundary TAG] [--out FILE] file1 file2\n",
+        "usage: hyperscope op prune [-h] --elements a,b,... [--boundary TAG] [--out FILE] file\n",
+        "usage: hyperscope op split [-h] --closure a,b,... [--boundary TAG] [--out FILE] file\n",
+        "usage: hyperscope views [-h] --boundaries TAG1,TAG2 [--out FILE] {intersect,union} file\n",
+        "usage: hyperscope fmt [-h] [--out FILE] file\n",
+        "usage: hyperscope digest [-h] [--out FILE] file\n",
+    ]

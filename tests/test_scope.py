@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from gen import acceptance_corpus
 from hyperscope import (
     BaseMismatchError,
     Hypernetwork,
@@ -12,11 +13,13 @@ from hyperscope import (
     RelationSymbol,
     UnresolvedIdentifierError,
     difference,
+    parse,
     project,
     scoped_apply,
     scoped_prune,
     scoped_split,
     serialize,
+    split,
     validate,
     view_intersect,
     view_union,
@@ -285,3 +288,50 @@ class TestViewAlgebra:
                     inter = view_intersect(project(h, b1), project(h, b2))
                     ids = set(inter.content.vertices) | {s.id for s in inter.content.simplices}
                     assert ids == visible_set(h, b1) & visible_set(h, b2)
+
+    def test_overlap_and_union_laws_on_the_corpus(self, bicycle, emergency, ecology):
+        """The view laws over every ordered tag pair of the corpus and fixtures.
+
+        The intersection holds exactly the hypersimplices visible under both
+        tags. Its declarations may exceed the ids visible under both: a name
+        that a shared hypersimplex excludes (``!x``) stays declared so the
+        exclusion resolves, as does a vertex both views keep for that reason.
+        """
+        pairs = with_extra = 0
+        for h in acceptance_corpus() + (bicycle, emergency, ecology):
+            tags = h.tag_universe()
+            views = {b: project(h, b) for b in tags}
+            visible = {b: visible_set(h, b) for b in tags}
+            roots = {b: [s.id for s in h.simplices if b in s.tags] for b in tags}
+            for a in tags:
+                for b in tags:
+                    pairs += 1
+                    inter = view_intersect(views[a], views[b]).content
+                    both = visible[a] & visible[b]
+                    sim_ids = inter.simplex_ids()
+                    assert sim_ids == both & h.simplex_ids()
+                    declared = set(inter.vertices) | sim_ids
+                    assert both <= declared
+                    slots = [p for s in inter.simplices for p in s.participants]
+                    extra = declared - both
+                    with_extra += bool(extra)
+                    assert not extra & {p.ref for p in slots if not p.excluded}
+                    vertex_in_both = set(views[a].content.vertices) & set(views[b].content.vertices)
+                    assert extra <= {p.ref for p in slots if p.excluded} | vertex_in_both
+
+                    union = view_union(views[a], views[b]).content
+                    closure = split(h, roots[a] + roots[b])
+                    assert set(union.vertices) == set(closure.vertices)
+                    assert set(union.relations) == set(closure.relations)
+                    assert set(union.simplices) == set(closure.simplices)
+        assert (pairs, with_extra) == (12_793, 2_580)
+
+    def test_intersection_declares_excluded_names_in_first_reference_order(self):
+        h = parse(
+            "vertex v\nrelation R(r1)\nrelation P(r1, r2)\n"
+            "x = < v ; R ; a >\ny = < v ; R ; b >\nt = < !x, !y ; P ; a, b >\n"
+        )
+        inter = view_intersect(project(h, "a"), project(h, "b")).content
+        assert inter.vertices == ("v", "x", "y")
+        assert [str(s.id) for s in inter.simplices] == ["t"]
+        assert validate(inter).ok
