@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Hypernetwork, Hypersimplex, Kind, is_identifier
+from .model import Hypernetwork, Kind, is_identifier
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class ValidationReport:
 
 def _containment_cycles(h: Hypernetwork) -> list[list[str]]:
     """Cycles among hypersimplices along Present participant references."""
-    by_id: dict[str, Hypersimplex] = {}
-    for s in h.simplices:
-        by_id.setdefault(s.id, s)
+    by_id = h._by_id
 
     def children(node: str) -> Iterator[str]:
         return iter(

@@ -5,6 +5,13 @@ symbols, and hypersimplices. Every type here is a frozen value: operations
 elsewhere in the package always return new hypernetworks and never mutate an
 existing one, so any value can be shared freely across threads.
 
+A ``Hypernetwork`` also carries derived data that depends on its value
+alone: its structural digest, its tag index and its id map. Each is
+computed lazily on first use and cached on the instance, outside the
+fields that equality, hashing and ``repr`` read. Computing one twice (say,
+from two threads at once) gives equal results, so the cache never makes a
+value unsafe to share.
+
 Constructors enforce the purely local shape of a value (identifier alphabet,
 role lists, non-empty participant tuples). Contextual rules that need the
 whole network (unique identity, reference resolution, arity against the
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .errors import UnresolvedIdentifierError
@@ -55,7 +63,7 @@ class Kind(Enum):
     BETA = "beta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Participant:
     """One ordered slot of a hypersimplex.
 
@@ -72,7 +80,7 @@ class Participant:
         return f"!{self.ref}" if self.excluded else str(self.ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationSymbol:
     """A relation name that fixes arity and ordered role names."""
 
@@ -94,7 +102,7 @@ class RelationSymbol:
         return len(self.roles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypersimplex:
     """An ordered tuple of participants bound to a relation symbol.
 
@@ -153,10 +161,7 @@ class Hypernetwork:
         return {s.id for s in self.simplices}
 
     def simplex(self, name: str) -> Hypersimplex | None:
-        for s in self.simplices:
-            if s.id == name:
-                return s
-        return None
+        return self._by_id.get(name)
 
     def relation_symbol(self, name: str) -> RelationSymbol | None:
         for r in self.relations:
@@ -166,14 +171,43 @@ class Hypernetwork:
 
     def tag_universe(self) -> tuple[Identifier, ...]:
         """All boundary tags in use, in first-appearance order."""
-        seen: dict[Identifier, None] = {}
-        for s in self.simplices:
-            for t in s.tags:
-                seen.setdefault(t)
-        return tuple(seen)
+        return tuple(self._tag_index)
 
     def is_empty(self) -> bool:
         return not (self.vertices or self.relations or self.simplices)
+
+    # Lazily cached derived data; see the module docstring.
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy the fields alone; the caches refill on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _digest(self) -> str:
+        from .text import serialize  # deferred: text depends on these types
+
+        return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()
+
+    @cached_property
+    def _tag_index(self) -> dict[Identifier, tuple[Identifier, ...]]:
+        """Tag -> ids of the hypersimplices carrying it, in declaration order.
+
+        Keys are in first-appearance order; a simplex is listed once per
+        tag even when its tag tuple repeats that tag.
+        """
+        index: dict[Identifier, list[Identifier]] = {}
+        for s in self.simplices:
+            for t in dict.fromkeys(s.tags):
+                index.setdefault(t, []).append(s.id)
+        return {t: tuple(ids) for t, ids in index.items()}
+
+    @cached_property
+    def _by_id(self) -> dict[Identifier, Hypersimplex]:
+        """Id -> the first hypersimplex declared under it, in declaration order."""
+        by_id: dict[Identifier, Hypersimplex] = {}
+        for s in self.simplices:
+            by_id.setdefault(s.id, s)
+        return by_id
 
 
 @dataclass(frozen=True)
@@ -199,7 +233,9 @@ def require_declared(h: Hypernetwork, names: Iterable[str],
     tags live in separate spaces. The least name, not the first, is reported,
     so the error does not depend on the iteration order of ``names``.
     """
-    missing = set(names).difference(h.vertices, h.simplex_ids())
+    missing = {n for n in names if n not in h._by_id}
+    if missing:
+        missing.difference_update(h.vertices)
     if missing:
         raise UnresolvedIdentifierError(f"{min(missing)} {reason}")
 
@@ -218,10 +254,7 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     """
     stack = list(roots)
     require_declared(h, stack)
-    by_id: dict[str, Hypersimplex] = {}
-    for s in h.simplices:
-        by_id.setdefault(s.id, s)
-
+    by_id = h._by_id
     out: set[Identifier] = set()
     while stack:
         x = stack.pop()
@@ -240,8 +273,7 @@ def structural_digest(h: Hypernetwork) -> str:
     """SHA-256 of the canonical serialization, as lowercase hex.
 
     Fully order-sensitive: two hypernetworks digest equal exactly when they
-    are full-equal, including declaration order and tag order.
+    are full-equal, including declaration order and tag order. Computed
+    once per value and cached on it.
     """
-    from .text import serialize  # deferred: text depends on these types
-
-    return hashlib.sha256(serialize(h).encode("utf-8")).hexdigest()
+    return h._digest

@@ -1,0 +1,220 @@
+"""The lazily cached digest, tag index and id map of a Hypernetwork.
+
+Each cache is checked against a fresh computation or against the linear
+scan it replaced, kept here as the slow reference, and shown to leave the
+value's equality, hashing, ``repr`` and fields untouched.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+
+import hyperscope.text
+from hyperscope import (
+    Hypernetwork,
+    Hypersimplex,
+    Identifier,
+    Participant,
+    RelationSymbol,
+    View,
+    load_fixture,
+    parse,
+    project,
+    serialize,
+    structural_digest,
+    visible_set,
+)
+from hyperscope.ops import _assemble
+from hyperscope.scope import _tagged
+
+from gen import acceptance_corpus
+
+CACHES = ("_digest", "_tag_index", "_by_id")
+
+
+def fresh(h: Hypernetwork) -> Hypernetwork:
+    """An equal value that has never been queried."""
+    return Hypernetwork(h.vertices, h.relations, h.simplices)
+
+
+def fill(h: Hypernetwork) -> Hypernetwork:
+    structural_digest(h)
+    h.tag_universe()
+    h.simplex("no-such-simplex")
+    assert set(CACHES) <= set(vars(h))
+    return h
+
+
+def _invalid_values() -> tuple[Hypernetwork, ...]:
+    """Hand-built values the parser would reject: a repeated tag, a repeated id."""
+    rel = RelationSymbol(Identifier("R"), ("r",))
+    a, b = Identifier("a"), Identifier("b")
+
+    def sim(name, ref, *tags):
+        return Hypersimplex(Identifier(name), (Participant(ref),), rel.id,
+                            tags=tuple(Identifier(t) for t in tags))
+
+    repeated_tag = Hypernetwork((a,), (rel,), (sim("x", a, "t", "u", "t"), sim("y", Identifier("x"), "u")))
+    repeated_id = Hypernetwork((a, b), (rel,), (sim("x", a, "t"), sim("y", Identifier("x"), "u", "t"),
+                                                sim("x", b, "u", "v")))
+    return repeated_tag, repeated_id
+
+
+def _values() -> list[Hypernetwork]:
+    return [*acceptance_corpus(), *(load_fixture(k) for k in ("E1", "E2", "E3")), *_invalid_values()]
+
+
+# -- the slow references: the linear scans the caches replaced ---------------
+
+def _tagged_ref(h, b):
+    return [s.id for s in h.simplices if b in s.tags]
+
+
+def _tag_universe_ref(h):
+    seen = {}
+    for s in h.simplices:
+        for t in s.tags:
+            seen.setdefault(t)
+    return tuple(seen)
+
+
+def _simplex_ref(h, name):
+    for s in h.simplices:
+        if s.id == name:
+            return s
+    return None
+
+
+def _visible_set_ref(h, b):
+    by_id = {}
+    for s in h.simplices:
+        by_id.setdefault(s.id, s)
+    out, stack = set(), _tagged_ref(h, b)
+    while stack:
+        x = stack.pop()
+        if x not in out:
+            out.add(x)
+            if x in by_id:
+                stack += [p.ref for p in by_id[x].participants if not p.excluded]
+    return out
+
+
+def _project_ref(h, b):
+    roots = _tagged_ref(h, b)
+    closure = _visible_set_ref(h, b)
+    content = _assemble(h, [s for s in h.simplices if s.id in closure], extra_vertices=roots)
+    digest = hashlib.sha256(serialize(h).encode("utf-8")).hexdigest()
+    return View(base_digest=digest, content=content, boundary=b)
+
+
+class TestDigest:
+    def test_equals_a_fresh_sha256_before_and_after_the_caches_fill(self):
+        for h in _values():
+            expected = hashlib.sha256(serialize(h).encode("utf-8")).hexdigest()
+            cold = fresh(h)
+            assert not set(CACHES) & set(vars(cold))
+            assert structural_digest(cold) == expected
+            assert structural_digest(fill(cold)) == expected
+            assert structural_digest(h) == expected
+
+    def test_replace_never_carries_a_stale_digest(self, ecology):
+        h = fresh(ecology)
+        old = structural_digest(h)
+        reordered = dataclasses.replace(h, simplices=h.simplices[::-1])
+        assert structural_digest(reordered) != old
+        assert structural_digest(reordered) == hashlib.sha256(
+            serialize(reordered).encode("utf-8")).hexdigest()
+        same = dataclasses.replace(h)
+        assert not set(CACHES) & set(vars(same))
+        assert structural_digest(same) == old
+
+    def test_projecting_under_ten_tags_serializes_the_backcloth_once(self, monkeypatch):
+        tags = [f"t{i}" for i in range(10)]
+        text = "vertex a\nrelation R(r)\n" + "".join(
+            f"s{i} = < a ; R ; {t} >\n" for i, t in enumerate(tags))
+        h = parse(text)
+        calls = []
+        real = hyperscope.text.serialize
+
+        def counted(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(hyperscope.text, "serialize", counted)
+        for t in tags:
+            project(h, t)
+        assert [c is h for c in calls] == [True]
+
+
+class TestCachesAreInvisible:
+    def test_filled_value_keeps_equality_hash_repr_and_fields(self):
+        for h in _values():
+            queried, untouched = fill(fresh(h)), fresh(h)
+            assert queried == untouched and untouched == queried
+            assert hash(queried) == hash(untouched)
+            assert repr(queried) == repr(untouched)
+            assert dataclasses.fields(queried) == dataclasses.fields(untouched)
+            assert dataclasses.astuple(queried) == dataclasses.astuple(untouched)
+
+    def test_field_names_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Hypernetwork)] == ["vertices", "relations", "simplices"]
+        assert [f.name for f in dataclasses.fields(View)] == ["base_digest", "content", "boundary"]
+
+    def test_pickle_and_copy_leave_the_caches_behind(self, emergency):
+        queried = fill(fresh(emergency))
+        assert pickle.dumps(queried) == pickle.dumps(fresh(emergency))
+        for copied in (pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried), copy.copy(queried)):
+            assert copied == emergency
+            assert not set(CACHES) & set(vars(copied))
+            assert structural_digest(copied) == structural_digest(emergency)
+
+
+class TestIndexAgainstLinearScans:
+    def test_tag_and_id_lookups_match_the_slow_references(self):
+        for h in _values():
+            cold = fresh(h)
+            assert cold.tag_universe() == _tag_universe_ref(h)
+            for b in (*_tag_universe_ref(h), "unknown-tag", "a b"):
+                assert list(_tagged(cold, b)) == _tagged_ref(h, b)
+                assert visible_set(cold, b) == _visible_set_ref(h, b)
+                view, ref = project(cold, b), _project_ref(h, b)
+                assert view == ref
+                assert serialize(view.content) == serialize(ref.content)
+            for name in (*(s.id for s in h.simplices), *h.vertices, "unknown", "a b"):
+                assert cold.simplex(name) is _simplex_ref(h, name)
+
+    def test_invalid_values_keep_their_first_declaration_and_list_once_per_tag(self):
+        repeated_tag, repeated_id = _invalid_values()
+        assert _tagged(repeated_tag, "t") == ("x",)
+        assert repeated_tag.tag_universe() == ("t", "u")
+        assert _tagged(repeated_id, "u") == ("y", "x")
+        assert _tagged(repeated_id, "t") == ("x", "y")
+        assert repeated_id.simplex("x") is repeated_id.simplices[0]
+
+
+class TestSlots:
+    @pytest.mark.parametrize("value", [
+        Participant(Identifier("a")),
+        RelationSymbol(Identifier("R"), ("r",)),
+        Hypersimplex(Identifier("x"), (Participant(Identifier("a")),), Identifier("R")),
+    ], ids=lambda v: type(v).__name__)
+    def test_element_values_have_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+    def test_hypernetwork_keeps_its_instance_dict_for_the_caches(self, bicycle):
+        assert hasattr(bicycle, "__dict__")
+
+    @pytest.mark.parametrize("key", ["E1", "E2", "E3"])
+    def test_pickle_and_deepcopy_round_trip_a_fixture(self, key):
+        h = parse(serialize(load_fixture(key)))
+        for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert copied == h
+            assert serialize(copied) == serialize(h)
