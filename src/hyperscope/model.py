@@ -12,6 +12,11 @@ fields that equality, hashing and ``repr`` read. Computing one twice (say,
 from two threads at once) gives equal results, so the cache never makes a
 value unsafe to share.
 
+``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
+dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
+any other name raises too (on CPython 3.11 the ``TypeError`` of the
+``__setattr__`` that ``dataclasses`` generates), leaving the value unchanged.
+
 Constructors enforce the purely local shape of a value (identifier alphabet,
 role lists, non-empty participant tuples). Contextual rules that need the
 whole network (unique identity, reference resolution, arity against the

@@ -12,11 +12,13 @@ its id, difference against a network that also names it) but something that
 survives still references it, the result keeps a plain vertex declaration
 under that name so the reference, or the anti-vertex prune put in its
 place, still resolves and arity is preserved.
+
+Hypersimplices an operator does not change are shared with its result, not
+copied: values are frozen, so the result may hold the input's own objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
 from .errors import IdentityConflictError
@@ -39,16 +41,13 @@ def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
     ``sims`` are demoted to vertex declarations so they still resolve.
     """
     sims = tuple(sims)
-    refs: set[str] = set()
-    rel_refs: set[str] = set()
-    for s in sims:
-        rel_refs.add(s.relation)
-        refs.update(p.ref for p in s.participants)
+    refs = {p.ref for s in sims for p in s.participants}
+    rel_refs = {s.relation for s in sims}
 
     extra = set(extra_vertices)
     vertices = [v for v in h.vertices if v in refs or v in extra]
-    declared = set(vertices) | {s.id for s in sims}
-    demoted = [s.id for s in h.simplices if s.id in refs and s.id not in declared]
+    undeclared = refs.difference(vertices, (s.id for s in sims))
+    demoted = [s.id for s in h.simplices if s.id in undeclared] if undeclared else []
     relations = tuple(r for r in h.relations if r.id in rel_refs)
     return Hypernetwork(tuple(vertices) + tuple(demoted), relations, sims)
 
@@ -64,6 +63,18 @@ def _declaration_kinds(h: Hypernetwork) -> dict[str, str]:
     return kinds
 
 
+def _may_clash(h1: Hypernetwork, h2: Hypernetwork) -> bool:
+    """Whether some name is declared in one namespace of ``h1`` and another of ``h2``.
+
+    A necessary condition for a kind conflict, so ``_declaration_kinds``
+    need only be built when it holds.
+    """
+    spaces1 = (set(h1.vertices), {r.id for r in h1.relations}, h1._by_id.keys())
+    spaces2 = (set(h2.vertices), {r.id for r in h2.relations}, h2._by_id.keys())
+    return any(not a.isdisjoint(b)
+               for i, a in enumerate(spaces1) for j, b in enumerate(spaces2) if i != j)
+
+
 def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
     """Each hypersimplex of ``h1`` with ``h2``'s of the same id, or None.
 
@@ -73,12 +84,13 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     hypersimplex on the other, nor for two different relation symbols, and
     a hypersimplex named in both must be structurally equal (tags aside).
     """
-    k1 = _declaration_kinds(h1)
-    k2 = _declaration_kinds(h2)
-    for name, kind in k1.items():
-        other = k2.get(name)
-        if other is not None and other != kind:
-            raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
+    if _may_clash(h1, h2):
+        k1 = _declaration_kinds(h1)
+        k2 = _declaration_kinds(h2)
+        for name, kind in k1.items():
+            other = k2.get(name)
+            if other is not None and other != kind:
+                raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
     rel2 = {r.id: r for r in h2.relations}
     for r in h1.relations:
         other = rel2.get(r.id)
@@ -107,11 +119,13 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
 
     out = []
     for s, t in _paired(h1, h2):
-        if t is not None:
+        if t is not None and t.tags != s.tags:
             own = set(s.tags)
-            s = replace(s, tags=s.tags + tuple(x for x in t.tags if x not in own))
+            added = tuple(x for x in t.tags if x not in own)
+            if added:
+                s = Hypersimplex(s.id, s.participants, s.relation, s.kind, s.tags + added)
         out.append(s)
-    ids1 = h1.simplex_ids()
+    ids1 = h1._by_id
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))
 
@@ -125,9 +139,14 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     """
     survivors: list[Hypersimplex] = []
     for s, t in _paired(h1, h2):
-        if t is not None:
+        if t is None:
+            continue
+        if s.tags != t.tags:
             other_tags = set(t.tags)
-            survivors.append(replace(s, tags=tuple(x for x in s.tags if x in other_tags)))
+            tags = tuple(x for x in s.tags if x in other_tags)
+            if len(tags) != len(s.tags):
+                s = Hypersimplex(s.id, s.participants, s.relation, s.kind, tags)
+        survivors.append(s)
     return _assemble(h1, survivors)
 
 
@@ -137,7 +156,7 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     Tags and order come from ``h1``; declarations are restricted to what
     the surviving content references.
     """
-    ids2 = h2.simplex_ids()
+    ids2 = h2._by_id
     survivors = [s for s in h1.simplices if s.id not in ids2]
     return _assemble(h1, survivors)
 
@@ -154,21 +173,23 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     wanted = set(s)
     require_declared(h, wanted)
 
-    out: list[Hypersimplex] = []
-    for sim in h.simplices:
-        if sim.id in wanted:
-            continue
-        if any(p.ref in wanted for p in sim.participants):
-            parts = tuple(
-                Participant(p.ref, excluded=p.excluded or p.ref in wanted)
-                for p in sim.participants
-            )
-            out.append(replace(sim, participants=parts))
-        else:
-            out.append(sim)
-
+    touching = {i for i, sim in enumerate(h.simplices)
+                for p in sim.participants if p.ref in wanted and not p.excluded}
+    out = [
+        _exclude(sim, wanted) if i in touching else sim
+        for i, sim in enumerate(h.simplices) if sim.id not in wanted
+    ]
     demoted = tuple(sim.id for sim in h.simplices if sim.id in wanted)
     return Hypernetwork(h.vertices + demoted, h.relations, tuple(out))
+
+
+def _exclude(sim: Hypersimplex, wanted: set[str]) -> Hypersimplex:
+    """``sim`` with each Present reference to a member of ``wanted`` made an anti-vertex."""
+    parts = tuple(
+        Participant(p.ref, excluded=True) if p.ref in wanted and not p.excluded else p
+        for p in sim.participants
+    )
+    return Hypersimplex(sim.id, parts, sim.relation, sim.kind, sim.tags)
 
 
 def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:

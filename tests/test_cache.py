@@ -209,6 +209,24 @@ class TestSlots:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, field.name, getattr(value, field.name))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Participant(Identifier("a")),
+        lambda: RelationSymbol(Identifier("R"), ("r",)),
+        lambda: Hypersimplex(Identifier("x"), (Participant(Identifier("a")),), Identifier("R")),
+    ], ids=["Participant", "RelationSymbol", "Hypersimplex"])
+    def test_every_assignment_raises_and_leaves_the_value_unchanged(self, make):
+        value, same = make(), make()
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, None)
+        # Not a field: CPython 3.11's generated __setattr__ raises TypeError here.
+        for name in ("other", "__dict__"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(value, name, None)
+        assert value == same
+        assert dataclasses.astuple(value) == dataclasses.astuple(same)
+        assert not hasattr(value, "other")
+
     def test_hypernetwork_keeps_its_instance_dict_for_the_caches(self, bicycle):
         assert hasattr(bicycle, "__dict__")
 

@@ -27,6 +27,8 @@ from hyperscope import (
     validate,
 )
 
+from gen import acceptance_corpus
+
 
 def _one_simplex_net(tags, participant="a"):
     vertices = [Identifier("a")]
@@ -303,3 +305,32 @@ class TestOperatorHygiene:
             split(bicycle, {"bicycle", "person"}),
         ):
             assert validate(result).ok
+
+
+class TestSharing:
+    """Hypersimplices an operator leaves unchanged are the input's own objects."""
+
+    def test_self_merge_and_self_meet_share_every_hypersimplex(self, bicycle, emergency, ecology):
+        for h in (*acceptance_corpus(), bicycle, emergency, ecology):
+            for op in (merge, meet):
+                out = op(h, h)
+                assert len(out.simplices) == len(h.simplices)
+                assert all(a is b for a, b in zip(out.simplices, h.simplices))
+
+    def test_one_added_tag_copies_one_hypersimplex(self, bicycle, emergency, ecology):
+        for h in (*acceptance_corpus(), bicycle, emergency, ecology):
+            if not h.simplices:
+                continue
+            k = len(h.simplices) // 2
+            retagged = Hypernetwork(h.vertices, h.relations, tuple(
+                s.with_tags(s.tags + ("b_added",)) if i == k else s
+                for i, s in enumerate(h.simplices)
+            ))
+            out = merge(h, retagged)
+            assert len(out.simplices) == len(h.simplices)
+            for i, (a, b) in enumerate(zip(out.simplices, h.simplices)):
+                if i == k:
+                    assert a is not b
+                    assert a.structurally_equal(b) and a.tags == b.tags + ("b_added",)
+                else:
+                    assert a is b

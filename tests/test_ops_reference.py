@@ -1,0 +1,397 @@
+"""The structural operators against their earlier, slower code.
+
+The reference below is the kernel as it stood before unchanged
+hypersimplices were shared and the kind check was filtered: it rebuilds
+every declaration-kind table and copies every hypersimplex it touches. It
+is kept verbatim as the slow reference. The operators must agree with it
+exactly, on valid and on invalid values: equal results with the same
+declaration order, tag order and value types, or the same error with the
+same message.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from typing import Iterable, Iterator
+
+import pytest
+
+from hyperscope import (
+    HypernetworkError,
+    Hypernetwork,
+    Hypersimplex,
+    Identifier,
+    IdentityConflictError,
+    Participant,
+    RelationSymbol,
+    load_fixture,
+    ops,
+)
+from hyperscope.model import descendants, require_declared
+
+from gen import acceptance_corpus, compatible_pair, compatible_triple
+
+
+# --- the slow reference, verbatim ------------------------------------------
+
+def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
+              extra_vertices: Iterable[str] = ()) -> Hypernetwork:
+    """Self-contained hypernetwork over ``sims``, declarations drawn from ``h``.
+
+    Keeps exactly the vertex and relation declarations the simplices
+    reference (plus the vertices of ``h`` that ``extra_vertices`` names), in
+    ``h``'s order; references to hypersimplices of ``h`` that are not among
+    ``sims`` are demoted to vertex declarations so they still resolve.
+    """
+    sims = tuple(sims)
+    refs: set[str] = set()
+    rel_refs: set[str] = set()
+    for s in sims:
+        rel_refs.add(s.relation)
+        refs.update(p.ref for p in s.participants)
+
+    extra = set(extra_vertices)
+    vertices = [v for v in h.vertices if v in refs or v in extra]
+    declared = set(vertices) | {s.id for s in sims}
+    demoted = [s.id for s in h.simplices if s.id in refs and s.id not in declared]
+    relations = tuple(r for r in h.relations if r.id in rel_refs)
+    return Hypernetwork(tuple(vertices) + tuple(demoted), relations, sims)
+
+
+def _declaration_kinds(h: Hypernetwork) -> dict[str, str]:
+    kinds: dict[str, str] = {}
+    for v in h.vertices:
+        kinds.setdefault(v, "vertex")
+    for r in h.relations:
+        kinds.setdefault(r.id, "relation")
+    for s in h.simplices:
+        kinds.setdefault(s.id, "hypersimplex")
+    return kinds
+
+
+def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
+    """Each hypersimplex of ``h1`` with ``h2``'s of the same id, or None.
+
+    Rejects same-identifier declarations with different content, checked as
+    iteration runs, kinds and relations before the first pair. Identity is
+    global: one name may not stand for a vertex on one side and a
+    hypersimplex on the other, nor for two different relation symbols, and
+    a hypersimplex named in both must be structurally equal (tags aside).
+    """
+    k1 = _declaration_kinds(h1)
+    k2 = _declaration_kinds(h2)
+    for name, kind in k1.items():
+        other = k2.get(name)
+        if other is not None and other != kind:
+            raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
+    rel2 = {r.id: r for r in h2.relations}
+    for r in h1.relations:
+        other = rel2.get(r.id)
+        if other is not None and other != r:
+            raise IdentityConflictError(f"relation {r.id} declared with different roles")
+    sims2 = {s.id: s for s in h2.simplices}
+    for s in h1.simplices:
+        t = sims2.get(s.id)
+        if t is not None and not s.structurally_equal(t):
+            raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
+        yield s, t
+
+
+def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
+    """Identity-keyed union.
+
+    Result order is all of ``h1``'s declarations, then ``h2``'s that are
+    new. A hypersimplex named in both must be structurally equal (tags
+    aside) and carries the union of both tag sets, ``h1``'s tag order
+    first; shared vertices and relations must be identical.
+    """
+    v1 = set(h1.vertices)
+    vertices = tuple(h1.vertices) + tuple(v for v in h2.vertices if v not in v1)
+    rel1 = {r.id for r in h1.relations}
+    relations = tuple(h1.relations) + tuple(r for r in h2.relations if r.id not in rel1)
+
+    out = []
+    for s, t in _paired(h1, h2):
+        if t is not None:
+            own = set(s.tags)
+            s = replace(s, tags=s.tags + tuple(x for x in t.tags if x not in own))
+        out.append(s)
+    ids1 = h1.simplex_ids()
+    out += [t for t in h2.simplices if t.id not in ids1]
+    return Hypernetwork(vertices, relations, tuple(out))
+
+
+def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
+    """Identity-keyed intersection.
+
+    Keeps the hypersimplices named in both inputs (which must agree
+    structurally, tags aside) with the intersection of their tag sets, plus
+    the declarations the survivors reference. Order follows ``h1``.
+    """
+    survivors: list[Hypersimplex] = []
+    for s, t in _paired(h1, h2):
+        if t is not None:
+            other_tags = set(t.tags)
+            survivors.append(replace(s, tags=tuple(x for x in s.tags if x in other_tags)))
+    return _assemble(h1, survivors)
+
+
+def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
+    """Hypersimplices of ``h1`` whose identity ``h2`` does not name.
+
+    Tags and order come from ``h1``; declarations are restricted to what
+    the surviving content references.
+    """
+    ids2 = h2.simplex_ids()
+    survivors = [s for s in h1.simplices if s.id not in ids2]
+    return _assemble(h1, survivors)
+
+
+def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
+    """Remove the named elements, recording explicit exclusion.
+
+    Hypersimplices named in ``s`` are removed; in every remaining
+    hypersimplex a Present reference to a member of ``s`` becomes an
+    anti-vertex, preserving arity. Declarations are retained: vertex
+    members of ``s`` keep their declaration, and removed hypersimplices
+    leave a vertex declaration behind, so every anti-vertex resolves.
+    """
+    wanted = set(s)
+    require_declared(h, wanted)
+
+    out: list[Hypersimplex] = []
+    for sim in h.simplices:
+        if sim.id in wanted:
+            continue
+        if any(p.ref in wanted for p in sim.participants):
+            parts = tuple(
+                Participant(p.ref, excluded=p.excluded or p.ref in wanted)
+                for p in sim.participants
+            )
+            out.append(replace(sim, participants=parts))
+        else:
+            out.append(sim)
+
+    demoted = tuple(sim.id for sim in h.simplices if sim.id in wanted)
+    return Hypernetwork(h.vertices + demoted, h.relations, tuple(out))
+
+
+def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
+    """Sub-hypernetwork generated by ``c``: downward closure within ``h``.
+
+    Contains every hypersimplex reachable downward from ``c`` plus the
+    vertices and relation symbols that content references. Nothing outside
+    ``h`` can enter, and the closure never escapes upward or sideways.
+    """
+    seeds = set(c)
+    closure = descendants(h, seeds)
+    kept = [s for s in h.simplices if s.id in closure]
+    return _assemble(h, kept, extra_vertices=seeds)
+
+
+REFERENCE = {
+    "merge": merge,
+    "meet": meet,
+    "difference": difference,
+    "prune": prune,
+    "split": split,
+}
+BINARY = ("merge", "meet", "difference")
+
+
+# --- comparison ------------------------------------------------------------
+
+def typed(h: Hypernetwork) -> tuple:
+    """Every field of ``h`` in order, each name paired with its type."""
+    def name(x):
+        return type(x), x
+
+    return (
+        tuple(map(name, h.vertices)),
+        tuple((name(r.id), r.roles) for r in h.relations),
+        tuple(
+            (name(s.id), tuple((name(p.ref), p.excluded) for p in s.participants),
+             name(s.relation), s.kind, tuple(map(name, s.tags)))
+            for s in h.simplices
+        ),
+    )
+
+
+def outcome(fn, *args) -> tuple:
+    """``(None, result in typed form)``, or ``(error class, message)``."""
+    try:
+        return None, typed(fn(*args))
+    except HypernetworkError as exc:
+        return type(exc), str(exc)
+
+
+def differences(cases) -> list:
+    """The ``(op, args)`` cases on which the operators and the reference disagree."""
+    out = []
+    for op, args in cases:
+        want = outcome(REFERENCE[op], *args)
+        got = outcome(getattr(ops, op), *args)
+        if got != want:
+            out.append((op, args, want, got))
+    return out
+
+
+def binary_cases(pairs):
+    for h1, h2 in pairs:
+        for op in BINARY:
+            yield op, (h1, h2)
+
+
+def unary_cases(nets, rng):
+    """Prune and split each network by every single name, a sample and bad names."""
+    for h in nets:
+        names = list(h.vertices) + [s.id for s in h.simplices]
+        groups = [[n] for n in names] + [[], ["ghost"], ["a b"]]
+        if names:
+            groups.append(rng.sample(names, rng.randint(1, len(names))))
+            groups.append([rng.choice(names), "ghost"])
+        for group in groups:
+            yield "prune", (h, group)
+            yield "split", (h, group)
+
+
+# --- the values ------------------------------------------------------------
+
+def fixtures() -> tuple[Hypernetwork, ...]:
+    return tuple(load_fixture(k) for k in ("E1", "E2", "E3"))
+
+
+R = RelationSymbol(Identifier("R"), ("r",))
+
+
+def sim(name: str, ref: str, *tags: str, excluded: bool = False, relation: str = "R"):
+    return Hypersimplex(Identifier(name), (Participant(Identifier(ref), excluded),),
+                        Identifier(relation), tags=tuple(Identifier(t) for t in tags))
+
+
+def net(vertices=("a",), relations=(R,), simplices=()) -> Hypernetwork:
+    return Hypernetwork(tuple(Identifier(v) for v in vertices), relations, simplices)
+
+
+# h1 declares "x" both as a vertex and as a hypersimplex; h2 declares it a
+# vertex. The kinds agree (the vertex declaration comes first), so no
+# conflict is raised, but the name sits in two namespaces.
+VERTEX_AND_SIMPLEX = (
+    net(("a", "x"), simplices=(sim("x", "a", "p"), sim("y", "x", "q"))),
+    net(("a", "x"), simplices=(sim("y", "x", "r"),)),
+)
+
+# Two kind conflicts, "z" then "a" in h1's order; h2 declares "a" first.
+TWO_CONFLICTS = (
+    net(("z", "a", "b")),
+    net(("b",), simplices=(sim("a", "b"), sim("z", "b"))),
+)
+
+
+def invalid_values() -> tuple[Hypernetwork, ...]:
+    """Values ``parse`` would reject, each exercising an edge of the kernel."""
+    return (
+        # a simplex id declared twice, with equal and with different content
+        net(simplices=(sim("s", "a", "p"), sim("t", "s"), sim("s", "a", "q"))),
+        net(("a", "b"), simplices=(sim("s", "a"), sim("s", "b", "p"))),
+        # a vertex declared twice, and a relation declared twice
+        net(("a", "b", "a"), simplices=(sim("s", "b"),)),
+        net(relations=(R, RelationSymbol(Identifier("R"), ("r", "q"))), simplices=(sim("s", "a"),)),
+        # one name as vertex and relation, relation and hypersimplex
+        net(("a", "R"), simplices=(sim("s", "a"),)),
+        net(simplices=(sim("R", "a"), sim("s", "R"))),
+        # a reference nothing declares, and a repeated tag
+        net(simplices=(sim("s", "ghost", "p"),)),
+        net(simplices=(sim("s", "a", "p", "p", "q"),)),
+        # an anti-vertex on a hypersimplex that is also referenced
+        net(simplices=(sim("s", "a"), sim("t", "s", excluded=True), sim("u", "s"))),
+        *VERTEX_AND_SIMPLEX,
+        *TWO_CONFLICTS,
+    )
+
+
+def kind_mutants(h: Hypernetwork) -> list[Hypernetwork]:
+    """Variants of a corpus value that clash across namespaces with it."""
+    out = []
+    if h.simplices:
+        first = h.simplices[0]
+        out.append(Hypernetwork(h.vertices + (first.id,), h.relations, h.simplices))
+        out.append(Hypernetwork(h.vertices, h.relations + (RelationSymbol(first.id, ("r",)),),
+                                h.simplices))
+    out.append(Hypernetwork(h.vertices, h.relations + (RelationSymbol(h.vertices[0], ("r",)),),
+                            h.simplices))
+    rel = h.relations[0]
+    out.append(Hypernetwork(h.vertices + (rel.id,), h.relations, h.simplices))
+    return out
+
+
+# --- the tests -------------------------------------------------------------
+
+def test_compatible_pairs_and_triples():
+    pairs = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        h1, h2 = compatible_pair(rng, Identifier("b0") if seed % 3 == 0 else None)
+        pairs += [(h1, h2), (h2, h1), (h1, h1)]
+    for seed in range(100):
+        triple = compatible_triple(random.Random(seed))
+        pairs += [(a, b) for a in triple for b in triple]
+    assert differences(binary_cases(pairs)) == []
+
+
+def test_every_ordered_pair_of_the_fixtures_and_a_corpus_slice():
+    nets = fixtures() + acceptance_corpus()[:100]
+    assert differences(binary_cases((a, b) for a in nets for b in nets)) == []
+
+
+def test_each_corpus_value_with_itself_and_its_neighbours():
+    corpus = acceptance_corpus()
+    pairs = [(h, h) for h in corpus]
+    pairs += [(h, corpus[i - 1]) for i, h in enumerate(corpus)]
+    pairs += [(corpus[i - 1], h) for i, h in enumerate(corpus)]
+    assert differences(binary_cases(pairs)) == []
+
+
+def test_kind_mutants_of_the_corpus():
+    corpus = acceptance_corpus()[:200]
+    pairs = []
+    for i, h in enumerate(corpus):
+        for m in kind_mutants(h):
+            pairs += [(h, m), (m, h), (m, m), (m, corpus[i - 1]), (corpus[i - 1], m)]
+    cases = list(binary_cases(pairs))
+    assert differences(cases) == []
+    kind_conflicts = sum(" in one input and a " in str(outcome(getattr(ops, op), *args)[1])
+                         for op, args in cases)
+    assert kind_conflicts > len(cases) // 4
+
+
+def test_invalid_values_with_each_other_and_the_fixtures():
+    nets = invalid_values() + fixtures() + acceptance_corpus()[:20]
+    assert differences(binary_cases((a, b) for a in nets for b in nets)) == []
+
+
+def test_prune_and_split():
+    rng = random.Random(8)
+    nets = fixtures() + invalid_values() + acceptance_corpus()
+    assert differences(unary_cases(nets, rng)) == []
+
+
+def test_a_name_in_two_namespaces_without_a_kind_conflict():
+    h1, h2 = VERTEX_AND_SIMPLEX
+    assert ops._may_clash(h1, h2)
+    for op in BINARY:
+        got = outcome(getattr(ops, op), h1, h2)
+        assert got[0] is None
+        assert got == outcome(REFERENCE[op], h1, h2)
+    assert ops.merge(h1, h2).simplices[1].tags == ("q", "r")
+
+
+@pytest.mark.parametrize("op", ["merge", "meet"])
+def test_the_first_conflict_in_h1_order_is_named(op):
+    h1, h2 = TWO_CONFLICTS
+    message = "z is a vertex in one input and a hypersimplex in the other"
+    with pytest.raises(IdentityConflictError) as exc:
+        getattr(ops, op)(h1, h2)
+    assert str(exc.value) == message
+    assert outcome(REFERENCE[op], h1, h2) == (IdentityConflictError, message)
