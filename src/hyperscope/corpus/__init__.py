@@ -39,7 +39,7 @@ def fixture_source(name: str) -> str:
     path = resources.files(__package__).joinpath(filename)
     try:
         return path.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         raise FixtureMissingError(f"fixture file {filename} is missing: {exc}") from exc
 
 

@@ -6,11 +6,11 @@ elsewhere in the package always return new hypernetworks and never mutate an
 existing one, so any value can be shared freely across threads.
 
 A ``Hypernetwork`` also carries derived data that depends on its value
-alone: its structural digest, its tag index and its id map. Each is
-computed lazily on first use and cached on the instance, outside the
-fields that equality, hashing and ``repr`` read. Computing one twice (say,
-from two threads at once) gives equal results, so the cache never makes a
-value unsafe to share.
+alone: its structural digest, its tag index, its id map and the kind of
+each declared name. Each is computed lazily on first use and cached on the
+instance, outside the fields that equality, hashing and ``repr`` read.
+Computing one twice (say, from two threads at once) gives equal results,
+so the cache never makes a value unsafe to share.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -213,6 +213,18 @@ class Hypernetwork:
         for s in self.simplices:
             by_id.setdefault(s.id, s)
         return by_id
+
+    @cached_property
+    def _kinds(self) -> dict[Identifier, str]:
+        """Name -> kind of its first declaration: vertices, relations, hypersimplices."""
+        kinds: dict[Identifier, str] = {}
+        for v in self.vertices:
+            kinds.setdefault(v, "vertex")
+        for r in self.relations:
+            kinds.setdefault(r.id, "relation")
+        for s in self.simplices:
+            kinds.setdefault(s.id, "hypersimplex")
+        return kinds
 
 
 @dataclass(frozen=True)

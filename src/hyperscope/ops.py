@@ -52,29 +52,6 @@ def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
     return Hypernetwork(tuple(vertices) + tuple(demoted), relations, sims)
 
 
-def _declaration_kinds(h: Hypernetwork) -> dict[str, str]:
-    kinds: dict[str, str] = {}
-    for v in h.vertices:
-        kinds.setdefault(v, "vertex")
-    for r in h.relations:
-        kinds.setdefault(r.id, "relation")
-    for s in h.simplices:
-        kinds.setdefault(s.id, "hypersimplex")
-    return kinds
-
-
-def _may_clash(h1: Hypernetwork, h2: Hypernetwork) -> bool:
-    """Whether some name is declared in one namespace of ``h1`` and another of ``h2``.
-
-    A necessary condition for a kind conflict, so ``_declaration_kinds``
-    need only be built when it holds.
-    """
-    spaces1 = (set(h1.vertices), {r.id for r in h1.relations}, h1._by_id.keys())
-    spaces2 = (set(h2.vertices), {r.id for r in h2.relations}, h2._by_id.keys())
-    return any(not a.isdisjoint(b)
-               for i, a in enumerate(spaces1) for j, b in enumerate(spaces2) if i != j)
-
-
 def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
     """Each hypersimplex of ``h1`` with ``h2``'s of the same id, or None.
 
@@ -84,13 +61,11 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     hypersimplex on the other, nor for two different relation symbols, and
     a hypersimplex named in both must be structurally equal (tags aside).
     """
-    if _may_clash(h1, h2):
-        k1 = _declaration_kinds(h1)
-        k2 = _declaration_kinds(h2)
-        for name, kind in k1.items():
-            other = k2.get(name)
-            if other is not None and other != kind:
-                raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
+    k2 = h2._kinds
+    for name, kind in h1._kinds.items():
+        other = k2.get(name)
+        if other is not None and other != kind:
+            raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
     rel2 = {r.id: r for r in h2.relations}
     for r in h1.relations:
         other = rel2.get(r.id)

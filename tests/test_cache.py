@@ -1,4 +1,4 @@
-"""The lazily cached digest, tag index and id map of a Hypernetwork.
+"""The lazily cached digest, tag index, id map and kind table of a Hypernetwork.
 
 Each cache is checked against a fresh computation or against the linear
 scan it replaced, kept here as the slow reference, and shown to leave the
@@ -27,6 +27,7 @@ from hyperscope import (
     project,
     serialize,
     structural_digest,
+    validate,
     visible_set,
 )
 from hyperscope.ops import _assemble
@@ -34,7 +35,7 @@ from hyperscope.scope import _tagged
 
 from gen import acceptance_corpus
 
-CACHES = ("_digest", "_tag_index", "_by_id")
+CACHES = ("_digest", "_tag_index", "_by_id", "_kinds")
 
 
 def fresh(h: Hypernetwork) -> Hypernetwork:
@@ -46,6 +47,7 @@ def fill(h: Hypernetwork) -> Hypernetwork:
     structural_digest(h)
     h.tag_universe()
     h.simplex("no-such-simplex")
+    h._kinds
     assert set(CACHES) <= set(vars(h))
     return h
 
@@ -172,6 +174,12 @@ class TestCachesAreInvisible:
             assert copied == emergency
             assert not set(CACHES) & set(vars(copied))
             assert structural_digest(copied) == structural_digest(emergency)
+
+    @pytest.mark.parametrize("key", ["E1", "E2", "E3"])
+    def test_parse_and_validate_leave_the_kind_table_unfilled(self, key):
+        h = parse(serialize(load_fixture(key)))
+        assert "_kinds" not in vars(h)
+        assert validate(h).ok and "_kinds" not in vars(h)
 
 
 class TestIndexAgainstLinearScans:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hyperscope import FixtureMissingError, load_fixture, serialize, structural_digest, validate
-from hyperscope.corpus import DIGESTS, fixture_source
+from hyperscope.corpus import DIGESTS, FIXTURE_FILES, fixture_source
 
 
 def test_all_fixtures_validate(bicycle, emergency, ecology):
@@ -55,3 +55,9 @@ def test_name_aliases():
 def test_missing_fixture():
     with pytest.raises(FixtureMissingError):
         load_fixture("E4")
+
+
+def test_unreadable_fixture_file(monkeypatch):
+    monkeypatch.setitem(FIXTURE_FILES, "E1", "no-such-file.ht")
+    with pytest.raises(FixtureMissingError, match=r"\Afixture file no-such-file\.ht "):
+        load_fixture("E1")
