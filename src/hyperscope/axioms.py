@@ -6,9 +6,9 @@ reported in one pass. An empty report means the hypernetwork is valid.
 
 Checked per axiom:
 
-* A1: every identifier declared once across the joint namespace of
-  vertices, relations, and hypersimplices; every Present participant and
-  every relation reference resolves.
+* A1: every declared name is a ``str`` identifier, declared once across
+  the joint namespace of vertices, relations, and hypersimplices; every
+  Present participant and every relation reference resolves.
 * A2: every anti-vertex (Excluded participant) reference resolves; an
   exclusion of an unknown name is indistinguishable from a typo.
 * A3: kind is alpha or beta (unreachable through the parser, re-checked for
@@ -23,10 +23,12 @@ Checked per axiom:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
-from .model import Hypernetwork, Kind, is_identifier
+from .model import Hypernetwork, Kind, declaration_kinds, is_identifier
 
 
 @dataclass(frozen=True)
@@ -101,34 +103,18 @@ def validate(h: Hypernetwork) -> ValidationReport:
     Pure and deterministic: the report is ordered by the declaration order
     of the subject, then by axiom code.
     """
-    violations: list[Violation] = []
+    kinds = declaration_kinds(h)  # not h._kinds: ``parse`` leaves that cache unfilled
+    order = {name: i for i, name in enumerate(kinds)}
+    violations = [Violation("A1", name, f"{name!r} is not a well-formed identifier")
+                  for name in kinds if not is_identifier(name)]
+    declared = Counter(chain(h.vertices, (r.id for r in h.relations), (s.id for s in h.simplices)))
+    violations += [
+        Violation("A1", name, f"duplicate declaration of {name} (first declared as a {kinds[name]})")
+        for name, count in declared.items() if count > 1
+    ]
 
-    decls: list[tuple[str, str]] = [("vertex", str(v)) for v in h.vertices]
-    decls += [("relation", str(r.id)) for r in h.relations]
-    decls += [("hypersimplex", str(s.id)) for s in h.simplices]
-
-    order: dict[str, int] = {}
-    first_kind: dict[str, str] = {}
-    dup_reported: set[str] = set()
-    for kind_name, name in decls:
-        if name not in order:
-            order[name] = len(order)
-            first_kind[name] = kind_name
-            if not is_identifier(name):
-                violations.append(
-                    Violation("A1", name, f"{name!r} is not a well-formed identifier")
-                )
-        elif name not in dup_reported:
-            dup_reported.add(name)
-            violations.append(
-                Violation(
-                    "A1",
-                    name,
-                    f"duplicate declaration of {name} (first declared as a {first_kind[name]})",
-                )
-            )
-
-    declared_refs = set(h.vertices) | h.simplex_ids()
+    vertices = set(h.vertices)
+    by_id = h._by_id
     rel_by_id = {}
     for r in h.relations:
         rel_by_id.setdefault(r.id, r)
@@ -153,7 +139,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 )
             )
         for p in s.participants:
-            if p.ref not in declared_refs:
+            if p.ref not in by_id and p.ref not in vertices:
                 if p.excluded:
                     violations.append(
                         Violation("A2", s.id, f"anti-vertex {p.ref} does not resolve")

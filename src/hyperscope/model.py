@@ -10,7 +10,9 @@ alone: its structural digest, its tag index, its id map and the kind of
 each declared name. Each is computed lazily on first use and cached on the
 instance, outside the fields that equality, hashing and ``repr`` read.
 Computing one twice (say, from two threads at once) gives equal results,
-so the cache never makes a value unsafe to share.
+so the cache never makes a value unsafe to share. A name's kind is the kind
+of its first declaration: ``validate`` and the kind check of ``merge`` and
+``meet`` share that one rule, :func:`declaration_kinds`.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -216,15 +218,7 @@ class Hypernetwork:
 
     @cached_property
     def _kinds(self) -> dict[Identifier, str]:
-        """Name -> kind of its first declaration: vertices, relations, hypersimplices."""
-        kinds: dict[Identifier, str] = {}
-        for v in self.vertices:
-            kinds.setdefault(v, "vertex")
-        for r in self.relations:
-            kinds.setdefault(r.id, "relation")
-        for s in self.simplices:
-            kinds.setdefault(s.id, "hypersimplex")
-        return kinds
+        return declaration_kinds(self)
 
 
 @dataclass(frozen=True)
@@ -240,6 +234,23 @@ class View:
     base_digest: str
     content: Hypernetwork
     boundary: str | None = None
+
+
+def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
+    """Name -> kind of its first declaration: vertices, relations, hypersimplices.
+
+    This is A1's one rule for a name declared more than once, in
+    declaration order. :func:`hyperscope.axioms.validate` calls it afresh;
+    the kind check of ``merge`` and ``meet`` reads it cached as ``h._kinds``.
+    """
+    kinds: dict[Identifier, str] = {}
+    for v in h.vertices:
+        kinds.setdefault(v, "vertex")
+    for r in h.relations:
+        kinds.setdefault(r.id, "relation")
+    for s in h.simplices:
+        kinds.setdefault(s.id, "hypersimplex")
+    return kinds
 
 
 def require_declared(h: Hypernetwork, names: Iterable[str],

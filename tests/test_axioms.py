@@ -93,6 +93,13 @@ def test_malformed_declaration_name_is_a1():
     h = Hypernetwork(("a b",), (), ())
     assert [(v.axiom, v.subject, v.message) for v in validate(h).violations] == [
         ("A1", "a b", "'a b' is not a well-formed identifier")]
+    # A name that is not a str is malformed too, although its str() is not.
+    as_vertex = Hypernetwork((5,), (_r("R", "r1"),),
+                             (Hypersimplex(Identifier("s"), (Participant(5),), Identifier("R")),))
+    as_simplex = Hypernetwork((Identifier("a"),), (_r("R", "r1"),),
+                              (Hypersimplex(5, _sx("s", ["a"], "R").participants, Identifier("R")),))
+    for h in (as_vertex, as_simplex):
+        assert validate(h).render() == "A1\t5\t5 is not a well-formed identifier"
 
 
 def test_malformed_tag_is_a5_and_never_a_duplicate():

@@ -24,13 +24,20 @@ from hyperscope import (
     Identifier,
     IdentityConflictError,
     Participant,
-    RelationSymbol,
-    load_fixture,
     ops,
 )
 from hyperscope.model import descendants, require_declared
 
-from gen import acceptance_corpus, compatible_pair, compatible_triple
+from gen import (
+    TWO_CONFLICTS,
+    VERTEX_AND_SIMPLEX,
+    acceptance_corpus,
+    compatible_pair,
+    compatible_triple,
+    fixtures,
+    invalid_values,
+    kind_mutants,
+)
 
 
 # --- the slow reference, verbatim ------------------------------------------
@@ -254,76 +261,6 @@ def unary_cases(nets, rng):
         for group in groups:
             yield "prune", (h, group)
             yield "split", (h, group)
-
-
-# --- the values ------------------------------------------------------------
-
-def fixtures() -> tuple[Hypernetwork, ...]:
-    return tuple(load_fixture(k) for k in ("E1", "E2", "E3"))
-
-
-R = RelationSymbol(Identifier("R"), ("r",))
-
-
-def sim(name: str, ref: str, *tags: str, excluded: bool = False, relation: str = "R"):
-    return Hypersimplex(Identifier(name), (Participant(Identifier(ref), excluded),),
-                        Identifier(relation), tags=tuple(Identifier(t) for t in tags))
-
-
-def net(vertices=("a",), relations=(R,), simplices=()) -> Hypernetwork:
-    return Hypernetwork(tuple(Identifier(v) for v in vertices), relations, simplices)
-
-
-# h1 declares "x" both as a vertex and as a hypersimplex; h2 declares it a
-# vertex. The kinds agree (the vertex declaration comes first), so no
-# conflict is raised, but the name sits in two namespaces.
-VERTEX_AND_SIMPLEX = (
-    net(("a", "x"), simplices=(sim("x", "a", "p"), sim("y", "x", "q"))),
-    net(("a", "x"), simplices=(sim("y", "x", "r"),)),
-)
-
-# Two kind conflicts, "z" then "a" in h1's order; h2 declares "a" first.
-TWO_CONFLICTS = (
-    net(("z", "a", "b")),
-    net(("b",), simplices=(sim("a", "b"), sim("z", "b"))),
-)
-
-
-def invalid_values() -> tuple[Hypernetwork, ...]:
-    """Values ``parse`` would reject, each exercising an edge of the kernel."""
-    return (
-        # a simplex id declared twice, with equal and with different content
-        net(simplices=(sim("s", "a", "p"), sim("t", "s"), sim("s", "a", "q"))),
-        net(("a", "b"), simplices=(sim("s", "a"), sim("s", "b", "p"))),
-        # a vertex declared twice, and a relation declared twice
-        net(("a", "b", "a"), simplices=(sim("s", "b"),)),
-        net(relations=(R, RelationSymbol(Identifier("R"), ("r", "q"))), simplices=(sim("s", "a"),)),
-        # one name as vertex and relation, relation and hypersimplex
-        net(("a", "R"), simplices=(sim("s", "a"),)),
-        net(simplices=(sim("R", "a"), sim("s", "R"))),
-        # a reference nothing declares, and a repeated tag
-        net(simplices=(sim("s", "ghost", "p"),)),
-        net(simplices=(sim("s", "a", "p", "p", "q"),)),
-        # an anti-vertex on a hypersimplex that is also referenced
-        net(simplices=(sim("s", "a"), sim("t", "s", excluded=True), sim("u", "s"))),
-        *VERTEX_AND_SIMPLEX,
-        *TWO_CONFLICTS,
-    )
-
-
-def kind_mutants(h: Hypernetwork) -> list[Hypernetwork]:
-    """Variants of a corpus value that clash across namespaces with it."""
-    out = []
-    if h.simplices:
-        first = h.simplices[0]
-        out.append(Hypernetwork(h.vertices + (first.id,), h.relations, h.simplices))
-        out.append(Hypernetwork(h.vertices, h.relations + (RelationSymbol(first.id, ("r",)),),
-                                h.simplices))
-    out.append(Hypernetwork(h.vertices, h.relations + (RelationSymbol(h.vertices[0], ("r",)),),
-                            h.simplices))
-    rel = h.relations[0]
-    out.append(Hypernetwork(h.vertices + (rel.id,), h.relations, h.simplices))
-    return out
 
 
 # --- the tests -------------------------------------------------------------
