@@ -18,7 +18,8 @@ Checked per axiom:
   hypersimplex. Tags impose nothing further; they are not resolved against
   any declaration.
 * WELLFORMED: containment (Present references between hypersimplices) is
-  acyclic, so downward closure is well-founded.
+  acyclic, so downward closure is well-founded. Each cyclic component is
+  reported once, with one cycle through it as its witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
 
 from .model import Hypernetwork, Kind, declaration_kinds, is_identifier
 
@@ -60,40 +60,69 @@ class ValidationReport:
 
 
 def _containment_cycles(h: Hypernetwork) -> list[list[str]]:
-    """Cycles among hypersimplices along Present participant references."""
+    """One cycle per cyclic component of containment, in one Tarjan search.
+
+    The graph is the Present references between hypersimplices. A strongly
+    connected component is cyclic when it has two or more members or a
+    member that refers to itself. Its cycle starts at the member the search
+    reached first, runs down the search tree to the member whose reference
+    first led back to it, and returns to it.
+    """
     by_id = h._by_id
-
-    def children(node: str) -> Iterator[str]:
-        return iter(
-            [p.ref for p in by_id[node].participants if not p.excluded and p.ref in by_id]
-        )
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {sid: WHITE for sid in by_id}
+    closed = len(by_id)  # the index of a node whose component is finished
+    index: dict[str, int] = {}  # discovery index of every node reached
+    back: dict[str, str] = {}  # open node -> first node found referring to it
+    members: list[tuple[str, str | None]] = []  # open nodes with their tree parents
     cycles: list[list[str]] = []
 
     for root in by_id:
-        if color[root] != WHITE:
+        if root in index:
             continue
-        color[root] = GRAY
-        # Each frame keeps its node's child iterator, built once on push.
-        stack: list[tuple[str, Iterator[str]]] = [(root, children(root))]
-        path = [root]
+        index[root] = i = len(index)
+        members.append((root, None))
+        # Each frame: node, its pending participants, its discovery index, its lowlink.
+        stack = [[root, iter(by_id[root].participants), i, i]]
         while stack:
-            node, pending = stack[-1]
-            child = next(pending, None)
-            if child is not None:
-                if color[child] == GRAY:
-                    at = path.index(child)
-                    cycles.append(path[at:] + [child])
-                elif color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, children(child)))
-                    path.append(child)
+            frame = stack[-1]
+            node, pending, at, _ = frame
+            for p in pending:
+                child = p.ref
+                if p.excluded or child not in by_id:
+                    continue
+                i = index.get(child)
+                if i is None:
+                    index[child] = i = len(index)
+                    members.append((child, node))
+                    stack.append([child, iter(by_id[child].participants), i, i])
+                    break
+                if i < closed:
+                    back.setdefault(child, node)
+                    if i < frame[3]:
+                        frame[3] = i
             else:
                 stack.pop()
-                path.pop()
-                color[node] = BLACK
+                low = frame[3]
+                if stack and low < stack[-1][3]:
+                    stack[-1][3] = low
+                if low < at:
+                    continue  # not the first member of its component the search reached
+                last = back.get(node)
+                if last is None:  # nothing refers back: node is acyclic, alone on top of members
+                    members.pop()
+                    index[node] = closed
+                    continue
+                k = len(members) - 1
+                while members[k][0] != node:
+                    k -= 1
+                parent = dict(members[k:])
+                del members[k:]
+                for m in parent:
+                    index[m] = closed
+                path = [node]
+                while last != node:
+                    path.append(last)
+                    last = parent[last]
+                cycles.append([node, *reversed(path)])
     return cycles
 
 
@@ -113,7 +142,6 @@ def validate(h: Hypernetwork) -> ValidationReport:
         for name, count in declared.items() if count > 1
     ]
 
-    vertices = set(h.vertices)
     by_id = h._by_id
     rel_by_id = {}
     for r in h.relations:
@@ -139,7 +167,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 )
             )
         for p in s.participants:
-            if p.ref not in by_id and p.ref not in vertices:
+            if p.ref not in by_id and kinds.get(p.ref) != "vertex":
                 if p.excluded:
                     violations.append(
                         Violation("A2", s.id, f"anti-vertex {p.ref} does not resolve")
@@ -164,5 +192,5 @@ def validate(h: Hypernetwork) -> ValidationReport:
             Violation("WELLFORMED", cycle[0], "containment cycle: " + " -> ".join(cycle))
         )
 
-    violations.sort(key=lambda v: (order.get(v.subject, len(order)), v.subject, v.axiom))
+    violations.sort(key=lambda v: (order[v.subject], v.axiom))
     return ValidationReport(tuple(violations))

@@ -54,7 +54,7 @@ class Identifier(str):
     __slots__ = ()
 
     def __new__(cls, name: str) -> "Identifier":
-        if not isinstance(name, str) or not _IDENTIFIER_RE.match(name):
+        if not is_identifier(name):
             raise ValueError(f"invalid identifier: {name!r}")
         return super().__new__(cls, name)
 

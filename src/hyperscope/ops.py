@@ -19,7 +19,7 @@ copied: values are frozen, so the result may hold the input's own objects.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .errors import IdentityConflictError
 from .model import (
@@ -32,7 +32,7 @@ from .model import (
 
 
 def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
-              extra_vertices: Iterable[str] = ()) -> Hypernetwork:
+              extra_vertices: Container[str] = ()) -> Hypernetwork:
     """Self-contained hypernetwork over ``sims``, declarations drawn from ``h``.
 
     Keeps exactly the vertex and relation declarations the simplices
@@ -44,8 +44,7 @@ def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
     refs = {p.ref for s in sims for p in s.participants}
     rel_refs = {s.relation for s in sims}
 
-    extra = set(extra_vertices)
-    vertices = [v for v in h.vertices if v in refs or v in extra]
+    vertices = [v for v in h.vertices if v in refs or v in extra_vertices]
     undeclared = refs.difference(vertices, (s.id for s in sims))
     demoted = [s.id for s in h.simplices if s.id in undeclared] if undeclared else []
     relations = tuple(r for r in h.relations if r.id in rel_refs)
@@ -87,10 +86,10 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     aside) and carries the union of both tag sets, ``h1``'s tag order
     first; shared vertices and relations must be identical.
     """
-    v1 = set(h1.vertices)
-    vertices = tuple(h1.vertices) + tuple(v for v in h2.vertices if v not in v1)
+    kinds1 = h1._kinds
+    vertices = h1.vertices + tuple(v for v in h2.vertices if kinds1.get(v) != "vertex")
     rel1 = {r.id for r in h1.relations}
-    relations = tuple(h1.relations) + tuple(r for r in h2.relations if r.id not in rel1)
+    relations = h1.relations + tuple(r for r in h2.relations if r.id not in rel1)
 
     out = []
     for s, t in _paired(h1, h2):

@@ -149,7 +149,7 @@ def view_union(v1: View, v2: View) -> View:
     """
     base = _checked_same_base(v1, v2)
     ids1 = v1.content.simplex_ids()
-    sims = tuple(v1.content.simplices) + tuple(
+    sims = v1.content.simplices + tuple(
         s for s in v2.content.simplices if s.id not in ids1
     )
     sim_ids = {s.id for s in sims}
@@ -159,7 +159,7 @@ def view_union(v1: View, v2: View) -> View:
         v for v in v2.content.vertices if v not in seen_v and v not in sim_ids
     )
     rel1 = {r.id for r in v1.content.relations}
-    relations = tuple(v1.content.relations) + tuple(
+    relations = v1.content.relations + tuple(
         r for r in v2.content.relations if r.id not in rel1
     )
     content = Hypernetwork(vertices, relations, sims)

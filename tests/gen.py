@@ -188,7 +188,12 @@ TWO_CONFLICTS = (
 
 
 def invalid_values() -> tuple[Hypernetwork, ...]:
-    """Values ``parse`` would reject, each exercising an edge of the kernel."""
+    """Hand-built values, each exercising an edge of the kernel.
+
+    ``parse`` would reject nine of the thirteen. Four validate clean: the
+    anti-vertex entry, the second ``VERTEX_AND_SIMPLEX`` value and both
+    ``TWO_CONFLICTS`` values, which conflict only with each other.
+    """
     return (
         # a simplex id declared twice, with equal and with different content
         net(simplices=(sim("s", "a", "p"), sim("t", "s"), sim("s", "a", "q"))),

@@ -12,6 +12,8 @@ from hyperscope import (
     validate,
 )
 
+from gen import invalid_values
+
 
 def _r(name, *roles):
     return RelationSymbol(Identifier(name), roles)
@@ -124,6 +126,23 @@ def test_containment_cycle_is_wellformed():
 def test_self_containment_is_a_cycle():
     h = Hypernetwork((), (_r("R", "r1"),), (_sx("x", ["x"], "R"),))
     assert [v.axiom for v in validate(h).violations] == ["WELLFORMED"]
+
+
+def test_overlapping_cycles_are_one_report_of_linear_size():
+    # s_i = < s_{i+1}, s0 ; R >: every member closes a cycle through s0, so a
+    # report per cycle would hold text quadratic in n.
+    n = 2000
+    names = [f"s{i}" for i in range(n)] + ["a"]
+    sims = tuple(_sx(names[i], [names[i + 1], "s0"], "R") for i in range(n))
+    h = Hypernetwork((Identifier("a"),), (_r("R", "r1", "r2"),), sims)
+    violations = validate(h).violations
+    assert [(v.axiom, v.subject) for v in violations] == [("WELLFORMED", "s0")]
+    assert len(violations[0].message) < 12 * n
+    assert violations[0].message == "containment cycle: " + " -> ".join(names[:n] + ["s0"])
+
+
+def test_which_invalid_values_validate_clean():
+    assert [validate(h).ok for h in invalid_values()] == [False] * 8 + [True, False, True, True, True]
 
 
 def test_excluded_reference_does_not_form_a_cycle():
