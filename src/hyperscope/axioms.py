@@ -68,32 +68,32 @@ def _containment_cycles(h: Hypernetwork) -> list[list[str]]:
     reached first, runs down the search tree to the member whose reference
     first led back to it, and returns to it.
     """
-    by_id = h._by_id
-    closed = len(by_id)  # the index of a node whose component is finished
+    pos, sims = h._at, h.simplices
+    closed = len(pos)  # the index of a node whose component is finished
     index: dict[str, int] = {}  # discovery index of every node reached
     back: dict[str, str] = {}  # open node -> first node found referring to it
     members: list[tuple[str, str | None]] = []  # open nodes with their tree parents
     cycles: list[list[str]] = []
 
-    for root in by_id:
+    for root in pos:
         if root in index:
             continue
         index[root] = i = len(index)
         members.append((root, None))
         # Each frame: node, its pending participants, its discovery index, its lowlink.
-        stack = [[root, iter(by_id[root].participants), i, i]]
+        stack = [[root, iter(sims[pos[root]].participants), i, i]]
         while stack:
             frame = stack[-1]
             node, pending, at, _ = frame
             for p in pending:
                 child = p.ref
-                if p.excluded or child not in by_id:
+                if p.excluded or child not in pos:
                     continue
                 i = index.get(child)
                 if i is None:
                     index[child] = i = len(index)
                     members.append((child, node))
-                    stack.append([child, iter(by_id[child].participants), i, i])
+                    stack.append([child, iter(sims[pos[child]].participants), i, i])
                     break
                 if i < closed:
                     back.setdefault(child, node)
@@ -142,7 +142,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
         for name, count in declared.items() if count > 1
     ]
 
-    by_id = h._by_id
+    at = h._at
     rel_by_id = {}
     for r in h.relations:
         rel_by_id.setdefault(r.id, r)
@@ -167,7 +167,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 )
             )
         for p in s.participants:
-            if p.ref not in by_id and kinds.get(p.ref) != "vertex":
+            if p.ref not in at and kinds.get(p.ref) != "vertex":
                 if p.excluded:
                     violations.append(
                         Violation("A2", s.id, f"anti-vertex {p.ref} does not resolve")

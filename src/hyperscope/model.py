@@ -6,9 +6,10 @@ elsewhere in the package always return new hypernetworks and never mutate an
 existing one, so any value can be shared freely across threads.
 
 A ``Hypernetwork`` also carries derived data that depends on its value
-alone: its structural digest, its tag index, its id map and the kind of
-each declared name. Each is computed lazily on first use and cached on the
-instance, outside the fields that equality, hashing and ``repr`` read.
+alone: its structural digest, its tag index, a map from each hypersimplex
+id to the position of its first declaration, and the kind of each declared
+name. Each is computed lazily on first use and cached on the instance,
+outside the fields that equality, hashing and ``repr`` read.
 Computing one twice (say, from two threads at once) gives equal results,
 so the cache never makes a value unsafe to share. A name's kind is the kind
 of its first declaration: ``validate`` and the kind check of ``merge`` and
@@ -29,7 +30,6 @@ parser applies those checks eagerly when reading files.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -168,7 +168,8 @@ class Hypernetwork:
         return {s.id for s in self.simplices}
 
     def simplex(self, name: str) -> Hypersimplex | None:
-        return self._by_id.get(name)
+        i = self._at.get(name)
+        return None if i is None else self.simplices[i]
 
     def relation_symbol(self, name: str) -> RelationSymbol | None:
         for r in self.relations:
@@ -191,6 +192,8 @@ class Hypernetwork:
 
     @cached_property
     def _digest(self) -> str:
+        import hashlib  # deferred: commands that print no digest skip loading it
+
         from .text import serialize  # deferred: text depends on these types
 
         return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()
@@ -209,12 +212,15 @@ class Hypernetwork:
         return {t: tuple(ids) for t, ids in index.items()}
 
     @cached_property
-    def _by_id(self) -> dict[Identifier, Hypersimplex]:
-        """Id -> the first hypersimplex declared under it, in declaration order."""
-        by_id: dict[Identifier, Hypersimplex] = {}
-        for s in self.simplices:
-            by_id.setdefault(s.id, s)
-        return by_id
+    def _at(self) -> dict[Identifier, int]:
+        """Id -> position in ``simplices`` of its first declaration, in declaration order.
+
+        Fewer entries than ``simplices`` means some id is declared twice.
+        """
+        at: dict[Identifier, int] = {}
+        for i, s in enumerate(self.simplices):
+            at.setdefault(s.id, i)
+        return at
 
     @cached_property
     def _kinds(self) -> dict[Identifier, str]:
@@ -261,7 +267,7 @@ def require_declared(h: Hypernetwork, names: Iterable[str],
     tags live in separate spaces. The least name, not the first, is reported,
     so the error does not depend on the iteration order of ``names``.
     """
-    missing = {n for n in names if n not in h._by_id}
+    missing = {n for n in names if n not in h._at}
     if missing:
         missing.difference_update(h.vertices)
     if missing:
@@ -280,21 +286,38 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     Raises UnresolvedIdentifierError when a root is neither a declared
     vertex nor a declared hypersimplex of ``h``.
     """
+    return walk(h, roots)[0]
+
+
+def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[int], set[Identifier]]:
+    """The downward closure of ``roots``, with what ``split`` builds its result from.
+
+    Returns the closure (see :func:`descendants`), the positions in
+    ``h.simplices`` of the hypersimplices it reached (one per closure name
+    that is a hypersimplex id, its first declaration, in no fixed order),
+    and the names that reached hypersimplices reference only as anti-vertices.
+    """
     stack = list(roots)
     require_declared(h, stack)
-    by_id = h._by_id
-    out: set[Identifier] = set()
+    at, sims = h._at, h.simplices
+    closure: set[Identifier] = set()
+    reached: list[int] = []
+    anti: set[Identifier] = set()
     while stack:
         x = stack.pop()
-        if x in out:
+        if x in closure:
             continue
-        out.add(x)
-        s = by_id.get(x)
-        if s is not None:
-            for p in s.participants:
-                if not p.excluded and p.ref not in out:
+        closure.add(x)
+        i = at.get(x)
+        if i is not None:
+            reached.append(i)
+            for p in sims[i].participants:
+                if p.excluded:
+                    anti.add(p.ref)
+                elif p.ref not in closure:
                     stack.append(p.ref)
-    return out
+    anti.difference_update(closure)
+    return closure, reached, anti
 
 
 def structural_digest(h: Hypernetwork) -> str:

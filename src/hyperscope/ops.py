@@ -26,8 +26,8 @@ from .model import (
     Hypernetwork,
     Hypersimplex,
     Participant,
-    descendants,
     require_declared,
+    walk,
 )
 
 
@@ -99,7 +99,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
             if added:
                 s = Hypersimplex(s.id, s.participants, s.relation, s.kind, s.tags + added)
         out.append(s)
-    ids1 = h1._by_id
+    ids1 = h1._at
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))
 
@@ -130,7 +130,7 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     Tags and order come from ``h1``; declarations are restricted to what
     the surviving content references.
     """
-    ids2 = h2._by_id
+    ids2 = h2._at
     survivors = [s for s in h1.simplices if s.id not in ids2]
     return _assemble(h1, survivors)
 
@@ -172,11 +172,29 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     Contains every hypersimplex reachable downward from ``c`` plus the
     vertices and relation symbols that content references. Nothing outside
     ``h`` can enter, and the closure never escapes upward or sideways.
+
+    Costs time proportional to the result plus ``h``'s vertex and relation
+    lists: the result is built from what the closure walk reached, never
+    from a scan of ``h.simplices``, unless ``h`` declares an id twice.
     """
     seeds = set(c)
-    closure = descendants(h, seeds)
-    kept = [s for s in h.simplices if s.id in closure]
-    return _assemble(h, kept, extra_vertices=seeds)
+    closure, reached, anti = walk(h, seeds)
+    sims, at = h.simplices, h._at
+    if len(at) < len(sims):  # an id declared twice: the walk reached only its first declaration
+        return _assemble(h, [s for s in sims if s.id in closure], extra_vertices=seeds)
+
+    # The closure is the seeds plus the Present references of the kept
+    # hypersimplices; with their anti-vertices, it names every vertex that
+    # ``_assemble`` keeps. An anti-vertex naming a hypersimplex the walk did
+    # not reach, and no vertex, is demoted to a vertex declaration.
+    reached.sort()
+    kept = tuple(sims[i] for i in reached)
+    vertices = tuple(filter((closure | anti).__contains__, h.vertices))
+    declared = set(vertices)
+    demoted = sorted(at[x] for x in anti if x in at and x not in declared)
+    rel_refs = {s.relation for s in kept}
+    relations = tuple(r for r in h.relations if r.id in rel_refs)
+    return Hypernetwork(vertices + tuple(sims[i].id for i in demoted), relations, kept)
 
 
 # The binary operators by name, for the scoped layer and the CLI.

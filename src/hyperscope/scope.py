@@ -14,7 +14,6 @@ views of different backcloths is not meaningful here.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Iterable
 
 from .errors import BaseMismatchError
@@ -60,6 +59,8 @@ def project(h: Hypernetwork, b: str) -> View:
 def _pair_digest(d1: str, d2: str) -> str:
     if d1 == d2:
         return d1
+    import hashlib  # deferred: commands that print no digest skip loading it
+
     return hashlib.sha256(f"{d1}:{d2}".encode("ascii")).hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""The lazily cached digest, tag index, id map and kind table of a Hypernetwork.
+"""The lazily cached digest, tag index, id positions and kind table of a Hypernetwork.
 
 Each cache is checked against a fresh computation or against the linear
 scan it replaced, kept here as the slow reference, and shown to leave the
@@ -35,7 +35,7 @@ from hyperscope.scope import _tagged
 
 from gen import acceptance_corpus
 
-CACHES = ("_digest", "_tag_index", "_by_id", "_kinds")
+CACHES = ("_digest", "_tag_index", "_at", "_kinds")
 
 
 def fresh(h: Hypernetwork) -> Hypernetwork:
@@ -195,6 +195,11 @@ class TestIndexAgainstLinearScans:
                 assert serialize(view.content) == serialize(ref.content)
             for name in (*(s.id for s in h.simplices), *h.vertices, "unknown", "a b"):
                 assert cold.simplex(name) is _simplex_ref(h, name)
+
+    def test_each_id_maps_to_the_position_of_its_first_declaration(self):
+        for h in _values():
+            ids = [s.id for s in h.simplices]
+            assert list(fresh(h)._at.items()) == [(x, ids.index(x)) for x in dict.fromkeys(ids)]
 
     def test_invalid_values_keep_their_first_declaration_and_list_once_per_tag(self):
         repeated_tag, repeated_id = _invalid_values()

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,6 +196,24 @@ def test_fmt_canonicalizes(workdir, capsys):
     code, out, err = _run(capsys, ["fmt", str(messy)])
     assert code == 0
     assert out == "vertex a\nrelation R(r1)\nx = < a ; R ; t > : alpha\n"
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded_until_a_digest(ecology):
+    # fmt, validate and an unscoped op print no digest, so they must not pay
+    # for loading hashlib (and OpenSSL) at start-up; -S keeps site's imports out.
+    code = (
+        "import sys\n"
+        "import hyperscope.cli\n"
+        "print('hashlib' in sys.modules)\n"
+        "import hyperscope as hs\n"
+        "print(hs.structural_digest(hs.load_fixture('E3')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(CORPUS.parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    expected = hashlib.sha256(serialize(ecology).encode("utf-8")).hexdigest()
+    assert out == f"False\n{expected}\n"
 
 
 def test_digest_matches_library(workdir, capsys, ecology):

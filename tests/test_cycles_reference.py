@@ -28,9 +28,17 @@ from hyperscope.axioms import _containment_cycles
 
 # --- the slow reference, verbatim ------------------------------------------
 
+def first_by_id(h: Hypernetwork) -> dict[str, Hypersimplex]:
+    """Id -> the first hypersimplex declared under it, in declaration order."""
+    by_id: dict[str, Hypersimplex] = {}
+    for s in h.simplices:
+        by_id.setdefault(s.id, s)
+    return by_id
+
+
 def reference_cycles(h: Hypernetwork) -> list[list[str]]:
     """Cycles among hypersimplices along Present participant references."""
-    by_id = h._by_id
+    by_id = first_by_id(h)
 
     def children(node: str) -> Iterator[str]:
         return iter(
@@ -93,13 +101,14 @@ def graph(rng: random.Random) -> Hypernetwork:
 
 def edges(h: Hypernetwork) -> list[tuple[str, str]]:
     """Every Present reference between hypersimplices, with repeats."""
+    by_id = first_by_id(h)
     return [(s.id, p.ref) for s in h.simplices for p in s.participants
-            if not p.excluded and p.ref in h._by_id]
+            if not p.excluded and p.ref in by_id]
 
 
 def components(h: Hypernetwork) -> dict[str, frozenset[str]]:
     """Each hypersimplex -> its strongly connected component, by reachability."""
-    succ: dict[str, set[str]] = {x: set() for x in h._by_id}
+    succ: dict[str, set[str]] = {x: set() for x in first_by_id(h)}
     for x, y in edges(h):
         succ[x].add(y)
     reach = {}

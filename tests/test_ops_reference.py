@@ -24,7 +24,9 @@ from hyperscope import (
     Identifier,
     IdentityConflictError,
     Participant,
+    RelationSymbol,
     ops,
+    project,
 )
 from hyperscope.model import descendants, require_declared
 
@@ -37,6 +39,8 @@ from gen import (
     fixtures,
     invalid_values,
     kind_mutants,
+    net,
+    sim,
 )
 
 
@@ -263,6 +267,44 @@ def unary_cases(nets, rng):
             yield "split", (h, group)
 
 
+# --- one hand-built value per branch of split --------------------------------
+
+R2 = RelationSymbol(Identifier("R2"), ("r1", "r2"))
+
+
+def pair(name: str, first: str, second: str, *tags: str) -> Hypersimplex:
+    """A hypersimplex of ``R2`` over two names, each ``x`` or the anti-vertex ``!x``."""
+    parts = tuple(Participant(Identifier(r.lstrip("!")), r.startswith("!")) for r in (first, second))
+    return Hypersimplex(Identifier(name), parts, R2.id, tags=tuple(map(Identifier, tags)))
+
+
+# name: (value, seeds, the split's vertex declarations, its hypersimplex ids)
+SPLIT_BRANCHES = {
+    "an anti-vertex outside the view names a hypersimplex, which is demoted": (
+        net(("a", "b"), (R2,), (pair("s", "a", "a"), pair("t", "!b", "!s", "p"),
+                                pair("u", "t", "a", "q"))),
+        ["t"], ("b", "s"), ("t",)),
+    "the same, with that id declared twice, so each declaration is demoted": (
+        net(("a", "b"), (R2,), (pair("s", "a", "a"), pair("t", "!b", "!s", "p"),
+                                pair("s", "a", "a", "q"))),
+        ["t"], ("b", "s", "s"), ("t",)),
+    "a vertex declared twice": (
+        net(("a", "b", "a"), simplices=(sim("s", "a", "p"), sim("t", "b", "q"))),
+        ["s"], ("a", "a"), ("s",)),
+    "a name declared as a vertex and as a hypersimplex": (
+        net(("a", "x"), simplices=(sim("x", "a", "p"), sim("y", "x", "q", excluded=True),
+                                   sim("z", "x", "r"))),
+        ["y"], ("x",), ("y",)),
+    "a seed that is an unreferenced vertex": (
+        net(("a", "w"), simplices=(sim("s", "a", "p"),)),
+        ["w", "s"], ("a", "w"), ("s",)),
+    "a view the walk reaches out of declaration order": (
+        net(relations=(R2,), simplices=(sim("s0", "a", relation="R2"), pair("s1", "s0", "a"),
+                                        pair("s2", "s0", "s1", "p"), pair("s3", "a", "s2", "p"))),
+        ["s3"], ("a",), ("s0", "s1", "s2", "s3")),
+}
+
+
 # --- the tests -------------------------------------------------------------
 
 def test_the_cached_kind_table_is_the_reference_table_in_order():
@@ -317,6 +359,17 @@ def test_prune_and_split():
     rng = random.Random(8)
     nets = fixtures() + invalid_values() + acceptance_corpus()
     assert differences(unary_cases(nets, rng)) == []
+
+
+@pytest.mark.parametrize("case", SPLIT_BRANCHES)
+def test_split_and_project_on_each_branch_of_split(case):
+    h, seeds, vertices, ids = SPLIT_BRANCHES[case]
+    got = ops.split(h, seeds)
+    assert (got.vertices, tuple(s.id for s in got.simplices)) == (vertices, ids)
+    assert differences(unary_cases([h], random.Random(12))) == []
+    for b in (*h.tag_universe(), "unknown"):
+        roots = [s.id for s in h.simplices if b in s.tags]
+        assert outcome(lambda h, b: project(h, b).content, h, b) == outcome(split, h, roots)
 
 
 def test_a_name_in_two_namespaces_without_a_kind_conflict():
