@@ -297,24 +297,21 @@ def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[i
     that is a hypersimplex id, its first declaration, in no fixed order),
     and the names that reached hypersimplices reference only as anti-vertices.
     """
-    stack = list(roots)
-    require_declared(h, stack)
+    closure: set[Identifier] = set(roots)
+    require_declared(h, closure)
     at, sims = h._at, h.simplices
-    closure: set[Identifier] = set()
     reached: list[int] = []
     anti: set[Identifier] = set()
+    stack = list(closure)  # each name enters the closure and the stack once
     while stack:
-        x = stack.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        i = at.get(x)
+        i = at.get(stack.pop())
         if i is not None:
             reached.append(i)
             for p in sims[i].participants:
                 if p.excluded:
                     anti.add(p.ref)
                 elif p.ref not in closure:
+                    closure.add(p.ref)
                     stack.append(p.ref)
     anti.difference_update(closure)
     return closure, reached, anti
