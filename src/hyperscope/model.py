@@ -19,6 +19,9 @@ of its first declaration: ``validate`` and the kind check of ``merge`` and
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
 any other name raises too (on CPython 3.11 the ``TypeError`` of the
 ``__setattr__`` that ``dataclasses`` generates), leaving the value unchanged.
+The operators build and compare them per element, so ``Hypersimplex``'s
+constructor and ``Participant``'s ``__eq__`` and ``__hash__`` are hand-written,
+with the signature, errors and semantics of the generated ones.
 
 Constructors enforce the purely local shape of a value (identifier alphabet,
 role lists, non-empty participant tuples). Contextual rules that need the
@@ -70,7 +73,7 @@ class Kind(Enum):
     BETA = "beta"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Participant:
     """One ordered slot of a hypersimplex.
 
@@ -82,6 +85,14 @@ class Participant:
 
     ref: Identifier
     excluded: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ref == other.ref and self.excluded == other.excluded
+
+    def __hash__(self) -> int:
+        return hash((self.ref, self.excluded))
 
     def __str__(self) -> str:
         return f"!{self.ref}" if self.excluded else str(self.ref)
@@ -109,7 +120,7 @@ class RelationSymbol:
         return len(self.roles)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Hypersimplex:
     """An ordered tuple of participants bound to a relation symbol.
 
@@ -124,11 +135,18 @@ class Hypersimplex:
     kind: Kind = Kind.ALPHA
     tags: tuple[Identifier, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "participants", tuple(self.participants))
-        object.__setattr__(self, "tags", tuple(self.tags))
-        if len(self.participants) < 1:
-            raise ValueError(f"hypersimplex {self.id} must bind at least one participant")
+    def __init__(self, id: Identifier, participants: Iterable[Participant], relation: Identifier,
+                 kind: Kind = Kind.ALPHA, tags: Iterable[Identifier] = ()) -> None:
+        participants = tuple(participants)
+        tags = tuple(tags)
+        if not participants:
+            raise ValueError(f"hypersimplex {id} must bind at least one participant")
+        set_id, set_participants, set_relation, set_kind, set_tags = _HYPERSIMPLEX_SLOTS
+        set_id(self, id)
+        set_participants(self, participants)
+        set_relation(self, relation)
+        set_kind(self, kind)
+        set_tags(self, tags)
 
     def structurally_equal(self, other: "Hypersimplex") -> bool:
         """Equality ignoring boundary tags (identity, slots, relation, kind)."""
@@ -144,6 +162,10 @@ class Hypersimplex:
 
     def untagged(self) -> "Hypersimplex":
         return replace(self, tags=())
+
+
+# The slot setters, which write a field past the frozen ``__setattr__``.
+_HYPERSIMPLEX_SLOTS = tuple(Hypersimplex.__dict__[f.name].__set__ for f in fields(Hypersimplex))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ copied: values are frozen, so the result may hold the input's own objects.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Callable, Container, Iterable, Iterator
 
 from .errors import IdentityConflictError
@@ -59,6 +60,9 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     global: one name may not stand for a vertex on one side and a
     hypersimplex on the other, nor for two different relation symbols, and
     a hypersimplex named in both must be structurally equal (tags aside).
+
+    Pairs through ``h2``'s cached id -> position map. When ``h2`` declares
+    an id twice, the last declaration is the one compared and yielded.
     """
     k2 = h2._kinds
     for name, kind in h1._kinds.items():
@@ -70,10 +74,14 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
         other = rel2.get(r.id)
         if other is not None and other != r:
             raise IdentityConflictError(f"relation {r.id} declared with different roles")
-    sims2 = {s.id: s for s in h2.simplices}
+    sims2, at2 = h2.simplices, h2._at
+    if len(at2) < len(sims2):  # an id declared twice: pair with its last declaration
+        at2 = {t.id: i for i, t in enumerate(sims2)}
     for s in h1.simplices:
-        t = sims2.get(s.id)
-        if t is not None and not s.structurally_equal(t):
+        i = at2.get(s.id)
+        t = None if i is None else sims2[i]
+        if t is not None and s is not t and (s.participants != t.participants
+                                             or s.relation != t.relation or s.kind != t.kind):
             raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
         yield s, t
 
@@ -94,8 +102,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     out = []
     for s, t in _paired(h1, h2):
         if t is not None and t.tags != s.tags:
-            own = set(s.tags)
-            added = tuple(x for x in t.tags if x not in own)
+            added = tuple(filterfalse(set(s.tags).__contains__, t.tags))
             if added:
                 s = Hypersimplex(s.id, s.participants, s.relation, s.kind, s.tags + added)
         out.append(s)
@@ -116,8 +123,7 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
         if t is None:
             continue
         if s.tags != t.tags:
-            other_tags = set(t.tags)
-            tags = tuple(x for x in s.tags if x in other_tags)
+            tags = tuple(filter(set(t.tags).__contains__, s.tags))
             if len(tags) != len(s.tags):
                 s = Hypersimplex(s.id, s.participants, s.relation, s.kind, tags)
         survivors.append(s)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -67,6 +69,71 @@ class TestConstructors:
     def test_simplex_needs_participants(self):
         with pytest.raises(ValueError):
             Hypersimplex(Identifier("x"), (), Identifier("R"))
+
+
+class TestValueContract:
+    """What ``repr``, equality, hashes and pickles of the slotted values read.
+
+    Names here are plain ``str``: the constructors accept them, and the
+    pins then say nothing about how ``Identifier`` itself pickles.
+    """
+
+    def _simplex(self):
+        return Hypersimplex("x", (Participant("a"), Participant("b", excluded=True)), "R",
+                            Kind.BETA, ("t",))
+
+    def test_hypersimplex_stores_tuples_given_lists(self):
+        s = Hypersimplex("x", [Participant("a")], "R", Kind.ALPHA, ["p", "q"])
+        assert type(s.participants) is tuple and s.participants == (Participant("a"),)
+        assert type(s.tags) is tuple and s.tags == ("p", "q")
+        assert s == Hypersimplex("x", (Participant("a"),), "R", Kind.ALPHA, ("p", "q"))
+
+    def test_keyword_construction_replace_and_with_tags_agree(self):
+        s = self._simplex()
+        by_keyword = Hypersimplex(tags=("t",), kind=Kind.BETA, relation="R", id="x",
+                                  participants=s.participants)
+        assert by_keyword == s
+        assert dataclasses.replace(s) == s
+        assert dataclasses.replace(s, tags=["u"]) == s.with_tags(["u"])
+        assert s.with_tags(["u"]).tags == ("u",)
+        assert s.with_tags(["u"]).with_tags(["t"]) == s
+        assert Hypersimplex("x", s.participants, "R") == dataclasses.replace(
+            s, kind=Kind.ALPHA, tags=())
+
+    def test_empty_participants_message(self):
+        with pytest.raises(ValueError) as exc:
+            Hypersimplex("x", [], "R")
+        assert str(exc.value) == "hypersimplex x must bind at least one participant"
+
+    def test_repr(self):
+        assert repr(self._simplex()) == (
+            "Hypersimplex(id='x', participants=(Participant(ref='a', excluded=False), "
+            "Participant(ref='b', excluded=True)), relation='R', kind=<Kind.BETA: 'beta'>, "
+            "tags=('t',))"
+        )
+        assert repr(Participant("a", True)) == "Participant(ref='a', excluded=True)"
+
+    def test_pickle_bytes_and_round_trip(self):
+        s = self._simplex()
+        data = pickle.dumps(s, protocol=4)
+        assert data == (
+            b"\x80\x04\x95\x81\x00\x00\x00\x00\x00\x00\x00\x8c\x10hyperscope.model\x94"
+            b"\x8c\x0cHypersimplex\x94\x93\x94)\x81\x94]\x94(\x8c\x01x\x94h\x00"
+            b"\x8c\x0bParticipant\x94\x93\x94)\x81\x94]\x94(\x8c\x01a\x94\x89ebh\x07)"
+            b"\x81\x94]\x94(\x8c\x01b\x94\x88eb\x86\x94\x8c\x01R\x94h\x00\x8c\x04Kind"
+            b"\x94\x93\x94\x8c\x04beta\x94\x85\x94R\x94\x8c\x01t\x94\x85\x94eb."
+        )
+        assert pickle.loads(data) == s
+
+    def test_participant_equality_and_hash(self):
+        a, same = Participant("a"), Participant(Identifier("a"), False)
+        assert a == same and hash(a) == hash(same)
+        assert hash(a) == hash(("a", False))
+        assert a != Participant("a", excluded=True)
+        assert a != Participant("b")
+        assert len({a, same, Participant("a", True)}) == 2
+        assert a.__eq__(("a", False)) is NotImplemented
+        assert a != ("a", False) and ("a", False) != a
 
 
 class TestEquality:

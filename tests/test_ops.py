@@ -18,6 +18,7 @@ from hyperscope import (
     RelationSymbol,
     UnresolvedIdentifierError,
     difference,
+    scoped_apply,
     merge,
     meet,
     parse,
@@ -125,6 +126,17 @@ class TestMeet:
     def test_identity_conflict(self):
         with pytest.raises(IdentityConflictError):
             meet(_one_simplex_net([]), _one_simplex_net([], participant="b2"))
+
+    # The set-based intersection: 16,000 tags a side with tuple membership
+    # costs ~10^8 comparisons.
+    @pytest.mark.parametrize("shared", [16_000, 8_000], ids=["full-overlap", "half-overlap"])
+    def test_tag_intersection_costs_linear_time(self, shared):
+        left_tags = [f"p{i}" for i in range(16_000)]
+        right_tags = [f"p{i}" for i in reversed(range(16_000 - shared, 32_000 - shared))]
+        start = time.perf_counter()
+        met = meet(_one_simplex_net(left_tags), _one_simplex_net(right_tags))
+        assert time.perf_counter() - start < 3.0
+        assert met.simplices[0].tags == tuple(left_tags[16_000 - shared:])
 
 
 class TestDifference:
@@ -284,6 +296,30 @@ def test_conflict_messages_and_their_order(op, clash, message):
     with pytest.raises(IdentityConflictError) as exc:
         op(_one_simplex_net([]), _conflicting(**clash))
     assert str(exc.value) == message
+
+
+def _declaring_both(declaration):
+    return parse("vertex a\nrelation R(r1)\nrelation S(r1)\n" + declaration + "\n")
+
+
+# Same id, same participants, relations of equal arity declared on both
+# sides: only the relation, or only the kind, tells the two apart.
+@pytest.mark.parametrize("op", [
+    merge,
+    meet,
+    lambda h1, h2: scoped_apply("merge", h1, h2, "b_t"),
+    lambda h1, h2: scoped_apply("meet", h1, h2, "b_t"),
+], ids=["merge", "meet", "scoped-merge", "scoped-meet"])
+@pytest.mark.parametrize("left, right", [
+    ("x = < a ; R ; b_t > : alpha", "x = < a ; S ; b_t > : alpha"),
+    ("x = < a ; R ; b_t > : alpha", "x = < a ; R ; b_t > : beta"),
+], ids=["relation", "kind"])
+def test_shared_id_with_another_relation_or_kind_is_an_identity_conflict(op, left, right):
+    for h1, h2 in [(_declaring_both(left), _declaring_both(right)),
+                   (_declaring_both(right), _declaring_both(left))]:
+        with pytest.raises(IdentityConflictError) as exc:
+            op(h1, h2)
+        assert str(exc.value) == "hypersimplex x has different content in the two inputs"
 
 
 class TestOperatorHygiene:
