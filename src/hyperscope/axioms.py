@@ -19,7 +19,14 @@ Checked per axiom:
   any declaration.
 * WELLFORMED: containment (Present references between hypersimplices) is
   acyclic, so downward closure is well-founded. Each cyclic component is
-  reported once, with one cycle through it as its witness.
+  reported once, with one cycle through it as its witness. The cycle
+  search runs only when some Present reference names a hypersimplex
+  declared at or after the one that refers to it; without one, declaration
+  order is a topological order and there is no cycle to find.
+
+Names and tags are checked against the identifier alphabet in one regex
+match each over all of them joined; only when that fails is each one
+checked alone, to name the bad ones.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import Hypernetwork, Kind, declaration_kinds, is_identifier
+from .model import Hypernetwork, Kind, _all_identifiers, declaration_kinds, is_identifier
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,10 @@ def validate(h: Hypernetwork) -> ValidationReport:
     """
     kinds = declaration_kinds(h)  # not h._kinds: ``parse`` leaves that cache unfilled
     order = {name: i for i, name in enumerate(kinds)}
-    violations = [Violation("A1", name, f"{name!r} is not a well-formed identifier")
-                  for name in kinds if not is_identifier(name)]
+    violations = [] if _all_identifiers(kinds) else [
+        Violation("A1", name, f"{name!r} is not a well-formed identifier")
+        for name in kinds if not is_identifier(name)
+    ]
     declared = Counter(chain(h.vertices, (r.id for r in h.relations), (s.id for s in h.simplices)))
     violations += [
         Violation("A1", name, f"duplicate declaration of {name} (first declared as a {kinds[name]})")
@@ -147,7 +156,9 @@ def validate(h: Hypernetwork) -> ValidationReport:
     for r in h.relations:
         rel_by_id.setdefault(r.id, r)
 
-    for s in h.simplices:
+    tags_ok = _all_identifiers([t for s in h.simplices for t in s.tags])
+    forward = False  # a Present reference to a hypersimplex declared here or later
+    for i, s in enumerate(h.simplices):
         if not isinstance(s.kind, Kind):
             violations.append(
                 Violation("A3", s.id, f"kind must be alpha or beta, got {s.kind!r}")
@@ -167,7 +178,11 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 )
             )
         for p in s.participants:
-            if p.ref not in at and kinds.get(p.ref) != "vertex":
+            j = at.get(p.ref)
+            if j is not None:
+                if j >= i and not p.excluded:
+                    forward = True
+            elif kinds.get(p.ref) != "vertex":
                 if p.excluded:
                     violations.append(
                         Violation("A2", s.id, f"anti-vertex {p.ref} does not resolve")
@@ -176,8 +191,11 @@ def validate(h: Hypernetwork) -> ValidationReport:
                     violations.append(
                         Violation("A1", s.id, f"participant {p.ref} does not resolve")
                     )
+        tags = s.tags
+        if tags_ok and (len(tags) < 2 or len(set(tags)) == len(tags)):
+            continue
         seen_tags: set[str] = set()
-        for t in s.tags:
+        for t in tags:
             if not is_identifier(t):
                 violations.append(
                     Violation("A5", s.id, f"tag {t!r} is not a well-formed identifier")
@@ -187,10 +205,11 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 violations.append(Violation("A5", s.id, f"duplicate tag {t}"))
             seen_tags.add(t)
 
-    for cycle in _containment_cycles(h):
-        violations.append(
-            Violation("WELLFORMED", cycle[0], "containment cycle: " + " -> ".join(cycle))
-        )
+    if forward:  # otherwise declaration order is a topological order: no cycle
+        for cycle in _containment_cycles(h):
+            violations.append(
+                Violation("WELLFORMED", cycle[0], "containment cycle: " + " -> ".join(cycle))
+            )
 
     violations.sort(key=lambda v: (order[v.subject], v.axiom))
     return ValidationReport(tuple(violations))

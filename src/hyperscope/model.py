@@ -37,13 +37,17 @@ import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import UnresolvedIdentifierError
 
 # The identifier alphabet; the text format builds its tokens from it.
-NAME = r"[A-Za-z0-9_-]+"
+_ALPHABET = "A-Za-z0-9_-"
+NAME = rf"[{_ALPHABET}]+"
 _IDENTIFIER_RE = re.compile(NAME + r"\Z")
+# Names joined by "\n": the alphabet, no "\n" first or last. One character
+# class keeps no state per name, so a match allocates nothing per name.
+_JOINED_NAMES_RE = re.compile(rf"(?!\n)[\n{_ALPHABET}]+(?<!\n)\Z")
 
 
 class Identifier(str):
@@ -64,6 +68,19 @@ class Identifier(str):
 
 def is_identifier(name: object) -> bool:
     return isinstance(name, str) and bool(_IDENTIFIER_RE.match(name))
+
+
+def _all_identifiers(names: Collection[object]) -> bool:
+    """``all(is_identifier(n) for n in names)``, in one match over the joined names."""
+    if not names:
+        return True
+    try:
+        joined = "\n".join(names)
+    except TypeError:  # a name that is not a str
+        return False
+    # One "\n" between each two names, and no name empty.
+    return (joined.count("\n") == len(names) - 1 and "\n\n" not in joined
+            and _JOINED_NAMES_RE.match(joined) is not None)
 
 
 class Kind(Enum):

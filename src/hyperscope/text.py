@@ -74,10 +74,14 @@ _Decl = Identifier | RelationSymbol | Hypersimplex
 
 
 class _Names(dict):
-    """Per-parse intern table: one checked Identifier per distinct name."""
+    """Per-parse intern table: one Identifier per distinct name.
+
+    Every key is a whole ``NAME`` match of a line regex, so the identifier
+    check in ``Identifier.__new__`` is not run again.
+    """
 
     def __missing__(self, text: str) -> Identifier:
-        ident = self[text] = Identifier(text)
+        ident = self[text] = str.__new__(Identifier, text)
         return ident
 
 
@@ -311,18 +315,12 @@ def parse(text: str) -> Hypernetwork:
     return h
 
 
-def _render_simplex(s: Hypersimplex) -> str:
-    parts = ", ".join(str(p) for p in s.participants)
-    if s.tags:
-        body = f"< {parts} ; {s.relation} ; {', '.join(s.tags)} >"
-    else:
-        body = f"< {parts} ; {s.relation} >"
-    return f"{s.id} = {body} : {s.kind.value}"
-
-
 def serialize(h: Hypernetwork) -> str:
     """Canonical ``.ht`` form of ``h``; empty hypernetwork gives ``""``."""
-    lines = [f"vertex {v}" for v in h.vertices]
-    lines += [f"relation {r.id}({', '.join(r.roles)})" for r in h.relations]
-    lines += [_render_simplex(s) for s in h.simplices]
-    return "".join(line + "\n" for line in lines)
+    lines = [f"vertex {v}\n" for v in h.vertices]
+    lines += [f"relation {r.id}({', '.join(r.roles)})\n" for r in h.relations]
+    for s in h.simplices:
+        parts = ", ".join([f"!{p.ref}" if p.excluded else f"{p.ref}" for p in s.participants])
+        tags = f" ; {', '.join(s.tags)}" if s.tags else ""
+        lines.append(f"{s.id} = < {parts} ; {s.relation}{tags} > : {s.kind.value}\n")
+    return "".join(lines)

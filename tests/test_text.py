@@ -13,7 +13,9 @@ from hyperscope import (
     DuplicateIdentifierError,
     HtSyntaxError,
     HypernetworkError,
+    Hypersimplex,
     Kind,
+    RelationSymbol,
     SourceSpan,
     UnresolvedIdentifierError,
     parse,
@@ -382,6 +384,25 @@ def test_fast_path_matches_token_path_on_corpus():
             slow = text._parse_line(variant, 1)
             assert fast is not None, variant
             assert fast == slow and type(fast[0]) is type(slow[0]), variant
+
+
+def _name_types(decl) -> list[type]:
+    """The type of every name in a declaration: its own, and its refs, relation and tags."""
+    if isinstance(decl, Hypersimplex):
+        names = [decl.id, *(p.ref for p in decl.participants), decl.relation, *decl.tags]
+    elif isinstance(decl, RelationSymbol):
+        names = [decl.id, *decl.roles]
+    else:
+        names = [decl]
+    return [type(n) for n in names]
+
+
+def test_fast_path_and_token_path_give_names_of_one_type_on_corpus():
+    rng = random.Random(5)
+    for line in _corpus_lines():
+        for variant in (line, _respace(rng, line)):
+            fast, slow = _fast(variant), text._parse_line(variant, 1)
+            assert _name_types(fast[0]) == _name_types(slow[0]), variant
 
 
 def test_fast_path_accepts_only_what_the_token_path_accepts():
