@@ -140,16 +140,16 @@ def validate(h: Hypernetwork) -> ValidationReport:
     of the subject, then by axiom code.
     """
     kinds = declaration_kinds(h)  # not h._kinds: ``parse`` leaves that cache unfilled
-    order = {name: i for i, name in enumerate(kinds)}
     violations = [] if _all_identifiers(kinds) else [
         Violation("A1", name, f"{name!r} is not a well-formed identifier")
         for name in kinds if not is_identifier(name)
     ]
-    declared = Counter(chain(h.vertices, (r.id for r in h.relations), (s.id for s in h.simplices)))
-    violations += [
-        Violation("A1", name, f"duplicate declaration of {name} (first declared as a {kinds[name]})")
-        for name, count in declared.items() if count > 1
-    ]
+    if len(kinds) < len(h.vertices) + len(h.relations) + len(h.simplices):  # a name declared twice
+        declared = Counter(chain(h.vertices, (r.id for r in h.relations), (s.id for s in h.simplices)))
+        violations += [
+            Violation("A1", name, f"duplicate declaration of {name} (first declared as a {kinds[name]})")
+            for name, count in declared.items() if count > 1
+        ]
 
     at = h._at
     rel_by_id = {}
@@ -211,5 +211,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
                 Violation("WELLFORMED", cycle[0], "containment cycle: " + " -> ".join(cycle))
             )
 
-    violations.sort(key=lambda v: (order[v.subject], v.axiom))
+    if violations:
+        order = {name: i for i, name in enumerate(kinds)}
+        violations.sort(key=lambda v: (order[v.subject], v.axiom))
     return ValidationReport(tuple(violations))

@@ -23,12 +23,12 @@ The operators build and compare them per element, so ``Hypersimplex``'s
 constructor and ``Participant``'s ``__eq__`` and ``__hash__`` are hand-written,
 with the signature, errors and semantics of the generated ones.
 
-Constructors enforce the purely local shape of a value (identifier alphabet,
-role lists, non-empty participant tuples). Contextual rules that need the
-whole network (unique identity, reference resolution, arity against the
-declared relation, acyclic containment) are the job of
-:func:`hyperscope.axioms.validate`, which reports defects as data; the text
-parser applies those checks eagerly when reading files.
+Constructors check only the local shape of a value: ``Identifier`` the
+identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
+non-empty participant tuple. Names inside a value and every rule that needs
+the whole network (unique identity, resolution, arity, acyclic containment)
+are left to :func:`hyperscope.axioms.validate`, which reports defects as data
+(a malformed name under A1 or A5); ``parse`` applies it eagerly.
 """
 
 from __future__ import annotations
@@ -231,11 +231,9 @@ class Hypernetwork:
 
     @cached_property
     def _digest(self) -> str:
-        import hashlib  # deferred: commands that print no digest skip loading it
-
         from .text import serialize  # deferred: text depends on these types
 
-        return hashlib.sha256(serialize(self).encode("utf-8")).hexdigest()
+        return _sha256(serialize(self))
 
     @cached_property
     def _tag_index(self) -> dict[Identifier, tuple[Identifier, ...]]:
@@ -354,6 +352,13 @@ def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[i
                     stack.append(p.ref)
     anti.difference_update(closure)
     return closure, reached, anti
+
+
+def _sha256(text: str) -> str:
+    """SHA-256 of ``text`` encoded as UTF-8, as lowercase hex."""
+    import hashlib  # deferred: commands that print no digest skip loading it
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def structural_digest(h: Hypernetwork) -> str:

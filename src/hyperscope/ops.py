@@ -20,7 +20,7 @@ copied: values are frozen, so the result may hold the input's own objects.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import IdentityConflictError
 from .model import (
@@ -32,24 +32,25 @@ from .model import (
 )
 
 
-def _assemble(h: Hypernetwork, sims: Iterable[Hypersimplex],
-              extra_vertices: Container[str] = ()) -> Hypernetwork:
-    """Self-contained hypernetwork over ``sims``, declarations drawn from ``h``.
+def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose: set[str]) -> Hypernetwork:
+    """Self-contained hypernetwork over ``sims``, declarations drawn from ``h`` in its order.
 
-    Keeps exactly the vertex and relation declarations the simplices
-    reference (plus the vertices of ``h`` that ``extra_vertices`` names), in
-    ``h``'s order; references to hypersimplices of ``h`` that are not among
-    ``sims`` are demoted to vertex declarations so they still resolve.
+    Keeps the vertices of ``h`` that ``names`` holds and the relations that
+    ``sims`` bind. ``loose`` holds the names that may point at a hypersimplex
+    of ``h`` not among ``sims``; each such hypersimplex that is not a kept
+    vertex is demoted to a vertex declaration, so every reference resolves.
+    They are found through ``h._at``, and by a scan of ``h.simplices`` only
+    when ``h`` declares an id twice.
     """
-    sims = tuple(sims)
-    refs = {p.ref for s in sims for p in s.participants}
+    vertices = tuple(filter(names.__contains__, h.vertices))
+    loose.difference_update(vertices)  # in place: every caller builds ``loose`` for this call
+    all_sims, at = h.simplices, h._at
+    if len(at) < len(all_sims):  # an id declared twice: ``at`` holds only its first declaration
+        demoted = tuple(s.id for s in all_sims if s.id in loose)
+    else:
+        demoted = tuple(all_sims[i].id for i in sorted(at[x] for x in loose if x in at))
     rel_refs = {s.relation for s in sims}
-
-    vertices = [v for v in h.vertices if v in refs or v in extra_vertices]
-    undeclared = refs.difference(vertices, (s.id for s in sims))
-    demoted = [s.id for s in h.simplices if s.id in undeclared] if undeclared else []
-    relations = tuple(r for r in h.relations if r.id in rel_refs)
-    return Hypernetwork(tuple(vertices) + tuple(demoted), relations, sims)
+    return Hypernetwork(vertices + demoted, tuple(r for r in h.relations if r.id in rel_refs), sims)
 
 
 def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
@@ -127,7 +128,8 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
             if len(tags) != len(s.tags):
                 s = Hypersimplex(s.id, s.participants, s.relation, s.kind, tags)
         survivors.append(s)
-    return _assemble(h1, survivors)
+    refs = {p.ref for s in survivors for p in s.participants}
+    return _assemble(h1, survivors, refs, refs.difference(s.id for s in survivors))
 
 
 def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
@@ -138,7 +140,8 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     """
     ids2 = h2._at
     survivors = [s for s in h1.simplices if s.id not in ids2]
-    return _assemble(h1, survivors)
+    refs = {p.ref for s in survivors for p in s.participants}
+    return _assemble(h1, survivors, refs, refs.difference(s.id for s in survivors))
 
 
 def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
@@ -180,27 +183,21 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     ``h`` can enter, and the closure never escapes upward or sideways.
 
     Costs time proportional to the result plus ``h``'s vertex and relation
-    lists: the result is built from what the closure walk reached, never
-    from a scan of ``h.simplices``, unless ``h`` declares an id twice.
+    lists: ``_assemble`` gets the closure, the anti-vertices and the
+    hypersimplices the walk reached, and scans ``h.simplices`` only when
+    ``h`` declares an id twice.
     """
     seeds = set(c)
     closure, reached, anti = walk(h, seeds)
-    sims, at = h.simplices, h._at
-    if len(at) < len(sims):  # an id declared twice: the walk reached only its first declaration
-        return _assemble(h, [s for s in sims if s.id in closure], extra_vertices=seeds)
+    sims = h.simplices
+    if len(h._at) < len(sims):  # an id declared twice: the walk reached only its first declaration
+        kept = [s for s in sims if s.id in closure]
+        refs = {p.ref for s in kept for p in s.participants}
+        return _assemble(h, kept, refs | seeds, refs - closure)
 
-    # The closure is the seeds plus the Present references of the kept
-    # hypersimplices; with their anti-vertices, it names every vertex that
-    # ``_assemble`` keeps. An anti-vertex naming a hypersimplex the walk did
-    # not reach, and no vertex, is demoted to a vertex declaration.
+    # Only an anti-vertex can name a hypersimplex the walk did not reach.
     reached.sort()
-    kept = tuple(sims[i] for i in reached)
-    vertices = tuple(filter((closure | anti).__contains__, h.vertices))
-    declared = set(vertices)
-    demoted = sorted(at[x] for x in anti if x in at and x not in declared)
-    rel_refs = {s.relation for s in kept}
-    relations = tuple(r for r in h.relations if r.id in rel_refs)
-    return Hypernetwork(vertices + tuple(sims[i].id for i in demoted), relations, kept)
+    return _assemble(h, [sims[i] for i in reached], closure | anti, anti)
 
 
 # The binary operators by name, for the scoped layer and the CLI.

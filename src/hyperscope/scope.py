@@ -21,6 +21,7 @@ from .model import (
     Hypernetwork,
     Identifier,
     View,
+    _sha256,
     descendants,
     require_declared,
     structural_digest,
@@ -56,21 +57,14 @@ def project(h: Hypernetwork, b: str) -> View:
     return View(base_digest=structural_digest(h), content=split(h, _tagged(h, b)), boundary=b)
 
 
-def _pair_digest(d1: str, d2: str) -> str:
-    if d1 == d2:
-        return d1
-    import hashlib  # deferred: commands that print no digest skip loading it
-
-    return hashlib.sha256(f"{d1}:{d2}".encode("ascii")).hexdigest()
-
-
 def scoped_apply(op: str, h1: Hypernetwork, h2: Hypernetwork, b: str) -> View:
     """Apply a binary structural operator inside boundary ``b``.
 
     Equivalent to projecting both operands and applying the global operator
     to the projections. ``op`` is one of merge, meet, difference. The result
     is view-level only: neither input changes, and anything the operator
-    introduces exists only in the returned view.
+    introduces exists only in the returned view. Its base digest is the
+    operands' common one, else the SHA-256 of ``"<digest1>:<digest2>"``.
     """
     try:
         fn = BINARY[op]
@@ -80,7 +74,8 @@ def scoped_apply(op: str, h1: Hypernetwork, h2: Hypernetwork, b: str) -> View:
     v1 = project(h1, b)
     v2 = project(h2, b)
     content = fn(v1.content, v2.content)
-    return View(base_digest=_pair_digest(v1.base_digest, v2.base_digest), content=content)
+    d1, d2 = v1.base_digest, v2.base_digest
+    return View(base_digest=d1 if d1 == d2 else _sha256(f"{d1}:{d2}"), content=content)
 
 
 def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],

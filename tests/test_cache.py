@@ -30,10 +30,10 @@ from hyperscope import (
     validate,
     visible_set,
 )
-from hyperscope.ops import _assemble
 from hyperscope.scope import _tagged
 
 from gen import acceptance_corpus
+from test_ops_reference import _assemble
 
 CACHES = ("_digest", "_tag_index", "_at", "_kinds")
 
