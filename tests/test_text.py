@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import re
 import time
@@ -27,6 +28,7 @@ from hyperscope import (
 from hyperscope import text
 from hyperscope.corpus import fixture_source
 
+import token_reference
 from gen import acceptance_corpus
 
 
@@ -426,6 +428,41 @@ _FRAGMENTS = st.sampled_from([
 ])
 _TEXT = st.lists(st.one_of(_FRAGMENTS, _FRAGMENTS, _FRAGMENTS, st.characters()),
                  max_size=40).map("".join)
+
+
+@functools.cache
+def _corpus_line_list():
+    return list(_corpus_lines())
+
+
+def _corpus_variants(seed):
+    """Twenty corpus lines, each maybe respaced and mutated up to twice."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(20):
+        line = rng.choice(_corpus_line_list())
+        if rng.random() < 0.5:
+            line = _respace(rng, line)
+        for _ in range(rng.randint(0, 2)):
+            line = _mutate(rng, line)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(st.one_of(st.lists(_FRAGMENTS, max_size=40).map("".join),
+                 st.integers(min_value=0).map(_corpus_variants)))
+def test_fast_path_accepts_every_line_the_token_path_accepts(source):
+    for line in source.split("\n"):
+        try:
+            slow = token_reference._parse_line(line, 1)
+        except HtSyntaxError:
+            continue
+        fast = _fast(line)
+        assert fast == slow, line
+        if slow is not None:
+            assert type(fast[0]) is type(slow[0]), line
+            assert _name_types(fast[0]) == _name_types(slow[0]), line
 
 
 @settings(max_examples=400, deadline=None)
