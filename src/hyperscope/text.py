@@ -46,11 +46,11 @@ from .model import (NAME, Hypernetwork, Hypersimplex, Identifier, Kind, Particip
 # A token, or (group 1) a stray character no token starts with.
 _TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
-# Whole-line forms of the three declarations. A line one of them accepts
-# parses to the same value and name column on the token path below
-# (tests/test_text.py checks this differentially); any other line takes the
-# token path, which owns every diagnostic. No two ``\s*`` are ever adjacent
-# without a literal between them, so a rejected line costs linear time.
+# Whole-line forms of the three declarations, the only builder of values.
+# Any other line takes the token path below, which owns every diagnostic and
+# builds nothing. tests/test_text.py checks the forms differentially against
+# the token builder kept in tests/token_reference.py. No two ``\s*`` are ever
+# adjacent without a literal between them, so a rejected line costs linear time.
 _NAMES = rf"{NAME}(?:\s*,\s*{NAME})*"
 _REF = rf"(?:!\s*)?{NAME}"
 _END = r"\s*(?:#.*)?\Z"
@@ -178,8 +178,8 @@ class _Cursor:
             raise HtSyntaxError(f"unexpected {tok[0]!r} at end of declaration", self.span(tok))
 
 
-def _parse_relation(cur: _Cursor) -> tuple[RelationSymbol, int]:
-    name = cur.take_ident("relation name")
+def _parse_relation(cur: _Cursor) -> None:
+    cur.take_ident("relation name")
     cur.take("(")
     roles = cur.take_idents("role name")
     cur.take(")")
@@ -189,58 +189,51 @@ def _parse_relation(cur: _Cursor) -> tuple[RelationSymbol, int]:
         if r[0] in seen:
             raise HtSyntaxError(f"duplicate role name {r[0]!r}", cur.span(r))
         seen.add(r[0])
-    return RelationSymbol(Identifier(name[0]), tuple(r[0] for r in roles)), name.start() + 1
 
 
-def _parse_simplex(cur: _Cursor) -> tuple[Hypersimplex, int]:
-    name = cur.take_ident("hypersimplex name")
+def _parse_simplex(cur: _Cursor) -> None:
+    cur.take_ident("hypersimplex name")
     cur.take("=")
     cur.take("<")
-    participants: list[Participant] = []
-    while not participants or cur.accept(","):
-        excluded = cur.accept("!")
-        ref = cur.take_ident("participant")
-        participants.append(Participant(Identifier(ref[0]), excluded=excluded))
+    while True:
+        cur.accept("!")
+        cur.take_ident("participant")
+        if not cur.accept(","):
+            break
     cur.take(";")
-    relation = cur.take_ident("relation name")
-    tags = cur.take_idents("boundary tag") if cur.accept(";") else []
+    cur.take_ident("relation name")
+    if cur.accept(";"):
+        cur.take_idents("boundary tag")
     cur.take(">")
-    kind = Kind.ALPHA
     if cur.accept(":"):
         word = cur.take_ident("kind (alpha or beta)")
         if word[0] not in ("alpha", "beta"):
             raise HtSyntaxError(f"expected alpha or beta, got {word[0]!r}", cur.span(word))
-        kind = Kind(word[0])
     cur.expect_end()
-    simplex = Hypersimplex(
-        Identifier(name[0]),
-        tuple(participants),
-        Identifier(relation[0]),
-        kind,
-        tuple(Identifier(t[0]) for t in tags),
-    )
-    return simplex, name.start() + 1
 
 
-def _parse_line(line: str, lineno: int) -> tuple[_Decl, int] | None:
-    """Token-by-token parse of one line: its declaration and name column.
+def _parse_line(line: str, lineno: int) -> None:
+    """Token-by-token check of a line the whole-line forms reject.
 
-    Returns None for a blank or comment-only line, and raises the line's
-    ``HtSyntaxError`` for anything malformed.
+    Returns for a blank or comment-only line and raises the line's
+    ``HtSyntaxError`` otherwise, even if every check passes: a gap between
+    the two grammars must not drop a declaration. It builds nothing; the
+    token builder in ``tests/token_reference.py`` is the reference.
     """
     cur = _Cursor(line.split("#", 1)[0], lineno)
     if not cur.tokens:
-        return None
+        return
     # "vertex" and "relation" are not reserved: a second token "="
     # means the line declares a hypersimplex of that name.
-    if len(cur.tokens) == 1 or cur.tokens[1][0] != "=":
-        if cur.accept("vertex"):
-            name = cur.take_ident("vertex name")
-            cur.expect_end()
-            return Identifier(name[0]), name.start() + 1
-        if cur.accept("relation"):
-            return _parse_relation(cur)
-    return _parse_simplex(cur)
+    is_simplex = len(cur.tokens) > 1 and cur.tokens[1][0] == "="
+    if not is_simplex and cur.accept("vertex"):
+        cur.take_ident("vertex name")
+        cur.expect_end()
+    elif not is_simplex and cur.accept("relation"):
+        _parse_relation(cur)
+    else:
+        _parse_simplex(cur)
+    raise HtSyntaxError("declaration matches no line form", cur.span(cur.tokens[0]))
 
 
 def _declarations(text: str) -> Iterator[tuple[_Decl, int, int]]:
@@ -250,8 +243,10 @@ def _declarations(text: str) -> Iterator[tuple[_Decl, int, int]]:
     names = _Names()
     slots = _Slots(names)
     for lineno, line in enumerate(text.split("\n"), start=1):
-        found = _match_line(line, names, slots) or _parse_line(line, lineno)
-        if found is not None:
+        found = _match_line(line, names, slots)
+        if found is None:
+            _parse_line(line, lineno)
+        else:
             yield found[0], lineno, found[1]
 
 

@@ -292,6 +292,14 @@ PINNED_ERRORS = [
      "anti-vertex ghost does not resolve", 3, 1),
     ("vertex a\nrelation R(r1)\nx = < ghost ; R >\nx = < a ; R >\n", DuplicateIdentifierError,
      "duplicate declaration of x (first declared as a hypersimplex)", 4, 1),
+    ("relation (r1)", HtSyntaxError, "expected relation name, got '('", 1, 10),
+    ("relation R r1)", HtSyntaxError, "expected '(', got 'r1'", 1, 12),
+    ("relation R(r1", HtSyntaxError, "expected ')'", 1, 14),
+    ("= < a ; R >", HtSyntaxError, "expected hypersimplex name, got '='", 1, 1),
+    ("x = a ; R >", HtSyntaxError, "expected '<', got 'a'", 1, 5),
+    ("x = < a ; >", HtSyntaxError, "expected relation name, got '>'", 1, 11),
+    ("x = < a ; R", HtSyntaxError, "expected '>'", 1, 12),
+    ("x = < a ; R > :", HtSyntaxError, "expected kind (alpha or beta)", 1, 16),
 ]
 
 
@@ -302,6 +310,16 @@ def test_error_diagnostics_are_pinned(src, kind, message, line, column):
     assert type(err.value) is kind
     assert err.value.args[0] == message
     assert err.value.span == SourceSpan(line, column)
+
+
+def test_a_line_only_the_token_checks_accept_is_an_error(monkeypatch):
+    pattern = text._SIMPLEX_RE.pattern
+    assert pattern.count(r"(?:!\s*)?") == 2
+    monkeypatch.setattr(text, "_SIMPLEX_RE", re.compile(pattern.replace(r"(?:!\s*)?", "")))
+    with pytest.raises(HtSyntaxError) as err:
+        parse("vertex a\nrelation R(r)\nx = < !a ; R >\n")
+    assert err.value.args[0] == "declaration matches no line form"
+    assert err.value.span == SourceSpan(3, 1)
 
 
 def test_parse_error_carries_the_whole_report():
@@ -383,7 +401,7 @@ def test_fast_path_matches_token_path_on_corpus():
     for line in _corpus_lines():
         for variant in (line, _respace(rng, line)):
             fast = _fast(variant)
-            slow = text._parse_line(variant, 1)
+            slow = token_reference._parse_line(variant, 1)
             assert fast is not None, variant
             assert fast == slow and type(fast[0]) is type(slow[0]), variant
 
@@ -403,7 +421,7 @@ def test_fast_path_and_token_path_give_names_of_one_type_on_corpus():
     rng = random.Random(5)
     for line in _corpus_lines():
         for variant in (line, _respace(rng, line)):
-            fast, slow = _fast(variant), text._parse_line(variant, 1)
+            fast, slow = _fast(variant), token_reference._parse_line(variant, 1)
             assert _name_types(fast[0]) == _name_types(slow[0]), variant
 
 
@@ -413,7 +431,7 @@ def test_fast_path_accepts_only_what_the_token_path_accepts():
         mutant = _mutate(rng, _respace(rng, line) if rng.random() < 0.5 else line)
         fast = _fast(mutant)
         if fast is not None:
-            slow = text._parse_line(mutant, 1)
+            slow = token_reference._parse_line(mutant, 1)
             assert fast == slow and type(fast[0]) is type(slow[0]), mutant
 
 
