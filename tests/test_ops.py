@@ -53,6 +53,27 @@ def _one_simplex_net(tags, participant="a"):
 EMPTY = Hypernetwork()
 
 
+def _already_excluded():
+    """``x = < a, !b ; R >``: one hypersimplex whose slot for ``b`` is already an anti-vertex."""
+    return Hypernetwork(
+        vertices=(Identifier("a"), Identifier("b")),
+        relations=(RelationSymbol(Identifier("R"), ("r1", "r2")),),
+        simplices=(
+            Hypersimplex(
+                Identifier("x"),
+                (Participant(Identifier("a")), Participant(Identifier("b"), excluded=True)),
+                Identifier("R"),
+            ),
+        ),
+    )
+
+
+def _shares_unchanged(out, h):
+    """Whether each hypersimplex of ``out`` equal to one of ``h`` is one of ``h``'s own objects."""
+    own = {id(s) for s in h.simplices}
+    return all(id(s) in own for s in out.simplices if s in h.simplices)
+
+
 class TestMerge:
     def test_self_merge_is_identity(self, bicycle):
         assert merge(bicycle, bicycle) == bicycle
@@ -201,18 +222,7 @@ class TestPrune:
         assert validate(pruned).ok
 
     def test_already_excluded_slot_stays_excluded(self):
-        h = Hypernetwork(
-            vertices=(Identifier("a"), Identifier("b")),
-            relations=(RelationSymbol(Identifier("R"), ("r1", "r2")),),
-            simplices=(
-                Hypersimplex(
-                    Identifier("x"),
-                    (Participant(Identifier("a")), Participant(Identifier("b"), excluded=True)),
-                    Identifier("R"),
-                ),
-            ),
-        )
-        pruned = prune(h, {"b"})
+        pruned = prune(_already_excluded(), {"b"})
         assert [str(p) for p in pruned.simplex("x").participants] == ["a", "!b"]
 
     def test_unresolved_member(self, bicycle):
@@ -370,3 +380,15 @@ class TestSharing:
                     assert a.structurally_equal(b) and a.tags == b.tags + ("b_added",)
                 else:
                     assert a is b
+
+    def test_prune_difference_and_split_share_what_they_keep(self, bicycle, emergency, ecology):
+        nets = (*acceptance_corpus(), bicycle, emergency, ecology, _already_excluded())
+        for i, h in enumerate(nets):
+            names = [*h.vertices, *(s.id for s in h.simplices)]
+            outs = [difference(h, EMPTY), difference(h, nets[i - 1])]
+            outs += [op(h, [n]) for n in names for op in (prune, split)]
+            assert all(_shares_unchanged(out, h) for out in outs)
+
+    def test_prune_shares_a_hypersimplex_whose_slot_is_already_excluded(self):
+        h = _already_excluded()
+        assert prune(h, {"b"}).simplices[0] is h.simplices[0]
