@@ -6,7 +6,7 @@ pinned here so an accidental edit to a fixture fails the test suite.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ..errors import FixtureMissingError
 from ..model import Hypernetwork
@@ -36,9 +36,9 @@ def fixture_source(name: str) -> str:
     except KeyError:
         raise FixtureMissingError(f"unknown fixture {name!r}; expected one of "
                                   + ", ".join(sorted(FIXTURE_FILES))) from None
-    path = resources.files(__package__).joinpath(filename)
     try:
-        return path.read_text(encoding="utf-8")
+        with open(os.path.join(os.path.dirname(__file__), filename), encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise FixtureMissingError(f"fixture file {filename} is missing: {exc}") from exc
 

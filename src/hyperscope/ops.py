@@ -156,23 +156,19 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     wanted = set(s)
     require_declared(h, wanted)
 
-    touching = {i for i, sim in enumerate(h.simplices)
-                for p in sim.participants if p.ref in wanted and not p.excluded}
-    out = [
-        _exclude(sim, wanted) if i in touching else sim
-        for i, sim in enumerate(h.simplices) if sim.id not in wanted
-    ]
-    demoted = tuple(sim.id for sim in h.simplices if sim.id in wanted)
-    return Hypernetwork(h.vertices + demoted, h.relations, tuple(out))
-
-
-def _exclude(sim: Hypersimplex, wanted: set[str]) -> Hypersimplex:
-    """``sim`` with each Present reference to a member of ``wanted`` made an anti-vertex."""
-    parts = tuple(
-        Participant(p.ref, excluded=True) if p.ref in wanted and not p.excluded else p
-        for p in sim.participants
-    )
-    return Hypersimplex(sim.id, parts, sim.relation, sim.kind, sim.tags)
+    out, demoted = [], []
+    for sim in h.simplices:
+        if sim.id in wanted:
+            demoted.append(sim.id)
+            continue
+        for p in sim.participants:
+            if p.ref in wanted and not p.excluded:
+                parts = tuple(Participant(q.ref, excluded=True) if q.ref in wanted and not q.excluded else q
+                              for q in sim.participants)
+                sim = Hypersimplex(sim.id, parts, sim.relation, sim.kind, sim.tags)
+                break
+        out.append(sim)
+    return Hypernetwork(h.vertices + tuple(demoted), h.relations, tuple(out))
 
 
 def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:

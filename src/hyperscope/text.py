@@ -268,7 +268,7 @@ def _raise_for(report: axioms.ValidationReport, text: str) -> None:
         SourceSpan(line, column)
         for decl, line, column in _declarations(text)
         if getattr(decl, "id", decl) == violation.subject
-    ] or [None]
+    ]
     # ``validate`` appends duplicate declarations first and sorts stably, so
     # an A1 on a subject declared twice is the duplicate, at its second span.
     if violation.axiom == "A1" and len(at) > 1:

@@ -12,6 +12,7 @@ import pytest
 
 from hyperscope import parse, project, serialize, structural_digest
 from hyperscope.cli import build_parser, main
+from hyperscope.corpus import DIGESTS
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "hyperscope" / "corpus"
 
@@ -208,12 +209,28 @@ def test_importing_the_cli_leaves_hashlib_unloaded_until_a_digest(ecology):
         "import hyperscope as hs\n"
         "print(hs.structural_digest(hs.load_fixture('E3')))\n"
     )
+    expected = hashlib.sha256(serialize(ecology).encode("utf-8")).hexdigest()
+    assert _run_bare(code) == f"False\n{expected}\n"
+
+
+def test_importing_the_cli_or_loading_a_fixture_leaves_importlib_resources_unloaded():
+    code = (
+        "import sys\n"
+        "import hyperscope.cli\n"
+        "print('importlib.resources' in sys.modules)\n"
+        "import hyperscope as hs\n"
+        "print(hs.structural_digest(hs.load_fixture('E3')))\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    assert _run_bare(code) == f"False\n{DIGESTS['E3']}\nFalse\n"
+
+
+def _run_bare(code):
+    """Stdout of ``code`` in a fresh interpreter under -S, so no ``site`` import is counted."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(CORPUS.parent.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    expected = hashlib.sha256(serialize(ecology).encode("utf-8")).hexdigest()
-    assert out == f"False\n{expected}\n"
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
 
 
 def test_digest_matches_library(workdir, capsys, ecology):

@@ -226,8 +226,12 @@ class TestPrune:
         assert [str(p) for p in pruned.simplex("x").participants] == ["a", "!b"]
 
     def test_unresolved_member(self, bicycle):
-        with pytest.raises(UnresolvedIdentifierError):
-            prune(bicycle, {"ghost"})
+        # Names are checked before any hypersimplex is read: the one added here cannot be.
+        unreadable = Hypersimplex(Identifier("x"), (None,), Identifier("R_drive"))
+        for h in (bicycle, Hypernetwork(bicycle.vertices, bicycle.relations,
+                                        (*bicycle.simplices, unreadable))):
+            with pytest.raises(UnresolvedIdentifierError):
+                prune(h, {"ghost"})
 
     def test_relation_names_are_not_prunable(self, bicycle):
         # relations live in their own resolution space
@@ -388,7 +392,3 @@ class TestSharing:
             outs = [difference(h, EMPTY), difference(h, nets[i - 1])]
             outs += [op(h, [n]) for n in names for op in (prune, split)]
             assert all(_shares_unchanged(out, h) for out in outs)
-
-    def test_prune_shares_a_hypersimplex_whose_slot_is_already_excluded(self):
-        h = _already_excluded()
-        assert prune(h, {"b"}).simplices[0] is h.simplices[0]
