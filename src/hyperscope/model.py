@@ -19,9 +19,10 @@ of its first declaration: ``validate`` and the kind check of ``merge`` and
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
 any other name raises too (on CPython 3.11 the ``TypeError`` of the
 ``__setattr__`` that ``dataclasses`` generates), leaving the value unchanged.
-The operators build and compare them per element, so ``Hypersimplex``'s
-constructor and ``Participant``'s ``__eq__`` and ``__hash__`` are hand-written,
-with the signature, errors and semantics of the generated ones.
+The parser and the operators build and compare them per element, so the
+constructors of ``Participant`` and ``Hypersimplex`` and ``Participant``'s
+``__eq__`` and ``__hash__`` are hand-written, with the signature, errors and
+semantics of the generated ones.
 
 Constructors check only the local shape of a value: ``Identifier`` the
 identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
@@ -34,10 +35,10 @@ are left to :func:`hyperscope.axioms.validate`, which reports defects as data
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable
 
 from .errors import UnresolvedIdentifierError
 
@@ -90,7 +91,7 @@ class Kind(Enum):
     BETA = "beta"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Participant:
     """One ordered slot of a hypersimplex.
 
@@ -103,6 +104,11 @@ class Participant:
     ref: Identifier
     excluded: bool = False
 
+    def __init__(self, ref: Identifier, excluded: bool = False) -> None:
+        set_ref, set_excluded = _PARTICIPANT_SLOTS
+        set_ref(self, ref)
+        set_excluded(self, excluded)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -113,6 +119,10 @@ class Participant:
 
     def __str__(self) -> str:
         return f"!{self.ref}" if self.excluded else str(self.ref)
+
+
+# The slot setters, which write a field past the frozen ``__setattr__``.
+_PARTICIPANT_SLOTS = tuple(Participant.__dict__[f.name].__set__ for f in fields(Participant))
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +191,6 @@ class Hypersimplex:
         return replace(self, tags=())
 
 
-# The slot setters, which write a field past the frozen ``__setattr__``.
 _HYPERSIMPLEX_SLOTS = tuple(Hypersimplex.__dict__[f.name].__set__ for f in fields(Hypersimplex))
 
 

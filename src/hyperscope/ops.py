@@ -19,8 +19,8 @@ copied: values are frozen, so the result may hold the input's own objects.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from itertools import filterfalse
-from typing import Callable, Iterable, Iterator
 
 from .errors import IdentityConflictError
 from .model import (

@@ -14,7 +14,7 @@ views of different backcloths is not meaningful here.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import BaseMismatchError
 from .model import (

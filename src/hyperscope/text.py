@@ -29,8 +29,8 @@ to ``h``, and ``serialize`` is a fixed point on its own output.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator, NoReturn
 
 from . import axioms
 from .errors import (
@@ -43,10 +43,16 @@ from .errors import (
 from .model import (NAME, Hypernetwork, Hypersimplex, Identifier, Kind, Participant,
                     RelationSymbol, is_identifier)
 
+# Type checkers read this as true; at run time ``typing`` is never imported.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
+
 # A token, or (group 1) a stray character no token starts with.
 _TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
-# Whole-line forms of the three declarations, the only builder of values.
+# Whole-line forms of the three declarations. ``parse_unchecked`` builds every
+# value from their groups, and ``_raise_for`` finds a name's span from group 1.
 # Any other line takes the token path below, which owns every diagnostic and
 # builds nothing. tests/test_text.py checks the forms differentially against
 # the token builder kept in tests/token_reference.py. No two ``\s*`` are ever
@@ -68,9 +74,6 @@ class SourceSpan:
 
     line: int
     column: int
-
-
-_Decl = Identifier | RelationSymbol | Hypersimplex
 
 
 class _Names(dict):
@@ -99,30 +102,6 @@ class _Slots(dict):
             slot = Participant(self.names[text])
         self[text] = slot
         return slot
-
-
-def _match_line(line: str, names: _Names, slots: _Slots) -> tuple[_Decl, int] | None:
-    """Declaration and name column of a line the whole-line forms accept."""
-    m = _SIMPLEX_RE.match(line)
-    if m is not None:
-        sid, refs, rel, tags, kind = m.groups()
-        simplex = Hypersimplex(
-            names[sid],
-            tuple([slots[r.strip()] for r in refs.split(",")]),
-            names[rel],
-            Kind.BETA if kind == "beta" else Kind.ALPHA,
-            tuple([names[t.strip()] for t in tags.split(",")]) if tags else (),
-        )
-        return simplex, m.start(1) + 1
-    m = _VERTEX_RE.match(line)
-    if m is not None:
-        return names[m[1]], m.start(1) + 1
-    m = _RELATION_RE.match(line)
-    if m is not None:
-        roles = tuple(r.strip() for r in m[2].split(","))
-        if len(set(roles)) == len(roles):
-            return RelationSymbol(names[m[1]], roles), m.start(1) + 1
-    return None
 
 
 class _Cursor:
@@ -236,20 +215,6 @@ def _parse_line(line: str, lineno: int) -> None:
     raise HtSyntaxError("declaration matches no line form", cur.span(cur.tokens[0]))
 
 
-def _declarations(text: str) -> Iterator[tuple[_Decl, int, int]]:
-    """Each declaration in ``text`` with its name's line and column, in source order."""
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    names = _Names()
-    slots = _Slots(names)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        found = _match_line(line, names, slots)
-        if found is None:
-            _parse_line(line, lineno)
-        else:
-            yield found[0], lineno, found[1]
-
-
 _ERRORS = {
     "A1": UnresolvedIdentifierError,
     "A2": UnresolvedIdentifierError,
@@ -259,16 +224,20 @@ _ERRORS = {
 }
 
 
+def _name_spans(text: str) -> Iterator[tuple[str, SourceSpan]]:
+    """The name and its span of each declaration in a text ``parse_unchecked`` accepts."""
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        m = _SIMPLEX_RE.match(line) or _VERTEX_RE.match(line) or _RELATION_RE.match(line)
+        if m is not None:
+            yield m[1], SourceSpan(lineno, m.start(1) + 1)
+
+
 def _raise_for(report: axioms.ValidationReport, text: str) -> None:
-    # Spans are only needed here, so the source is scanned again for them
-    # rather than recorded on every parse. A vertex declaration is its own
-    # name; the others carry it as ``id``.
+    # Spans are only needed here, so the source is matched again for them
+    # rather than recorded on every parse. Every line of a text that
+    # ``parse_unchecked`` accepted is blank or matches one line form.
     violation = report.violations[0]
-    at = [
-        SourceSpan(line, column)
-        for decl, line, column in _declarations(text)
-        if getattr(decl, "id", decl) == violation.subject
-    ]
+    at = [span for name, span in _name_spans(text) if name == violation.subject]
     # ``validate`` appends duplicate declarations first and sorts stably, so
     # an A1 on a subject declared twice is the duplicate, at its second span.
     if violation.axiom == "A1" and len(at) > 1:
@@ -288,10 +257,29 @@ def parse_unchecked(text: str) -> Hypernetwork:
     vertices: list[Identifier] = []
     relations: list[RelationSymbol] = []
     simplices: list[Hypersimplex] = []
-    add = {Identifier: vertices.append, RelationSymbol: relations.append,
-           Hypersimplex: simplices.append}
-    for decl, _, _ in _declarations(text):
-        add[type(decl)](decl)
+    names = _Names()
+    slots = _Slots(names)
+    simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
+    alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        if m := simplex(line):
+            sid, refs, rel, tags, kind = m.groups()
+            simplices.append(Hypersimplex(
+                names[sid],
+                tuple([slots[r.strip()] for r in refs.split(",")]),
+                names[rel],
+                beta if kind == "beta" else alpha,
+                tuple([names[t.strip()] for t in tags.split(",")]) if tags else (),
+            ))
+        elif m := vertex(line):
+            vertices.append(names[m[1]])
+        elif m := relation(line):
+            roles = tuple([r.strip() for r in m[2].split(",")])
+            if len(set(roles)) < len(roles):
+                _parse_line(line, lineno)  # raises the duplicate role's error
+            relations.append(RelationSymbol(names[m[1]], roles))
+        else:
+            _parse_line(line, lineno)
     return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
 
 
@@ -317,5 +305,5 @@ def serialize(h: Hypernetwork) -> str:
     for s in h.simplices:
         parts = ", ".join([f"!{p.ref}" if p.excluded else f"{p.ref}" for p in s.participants])
         tags = f" ; {', '.join(s.tags)}" if s.tags else ""
-        lines.append(f"{s.id} = < {parts} ; {s.relation}{tags} > : {s.kind.value}\n")
+        lines.append(f"{s.id} = < {parts} ; {s.relation}{tags} > : {s.kind._value_}\n")
     return "".join(lines)

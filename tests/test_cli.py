@@ -217,12 +217,12 @@ def test_importing_the_cli_or_loading_a_fixture_leaves_importlib_resources_unloa
     code = (
         "import sys\n"
         "import hyperscope.cli\n"
-        "print('importlib.resources' in sys.modules)\n"
+        "print('importlib.resources' in sys.modules, 'typing' in sys.modules)\n"
         "import hyperscope as hs\n"
         "print(hs.structural_digest(hs.load_fixture('E3')))\n"
-        "print('importlib.resources' in sys.modules)\n"
+        "print('importlib.resources' in sys.modules, 'typing' in sys.modules)\n"
     )
-    assert _run_bare(code) == f"False\n{DIGESTS['E3']}\nFalse\n"
+    assert _run_bare(code) == f"False False\n{DIGESTS['E3']}\nFalse False\n"
 
 
 def _run_bare(code):

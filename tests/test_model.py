@@ -99,6 +99,13 @@ class TestValueContract:
         assert s.with_tags(["u"]).with_tags(["t"]) == s
         assert Hypersimplex("x", s.participants, "R") == dataclasses.replace(
             s, kind=Kind.ALPHA, tags=())
+        assert Participant(excluded=True, ref="b") == s.participants[1]
+        assert Participant(ref="a") == s.participants[0]
+        assert Participant("a").excluded is False
+        assert dataclasses.replace(s.participants[0], excluded=True) == Participant("a", True)
+        with pytest.raises(TypeError) as exc:
+            Participant()
+        assert str(exc.value) == "Participant.__init__() missing 1 required positional argument: 'ref'"
 
     def test_empty_participants_message(self):
         with pytest.raises(ValueError) as exc:

@@ -244,6 +244,22 @@ class TestByteOrderMark:
         assert err.value.args[0] == "unexpected character '\\ufeff'"
         assert err.value.span == span
 
+    @pytest.mark.parametrize(
+        "src, error, span",
+        [
+            ("\ufeffx = < ghost ; R >\nrelation R(r)\n", UnresolvedIdentifierError,
+             SourceSpan(1, 1)),
+            ("\ufeff x = < a ; R >\nvertex a\nrelation R(r, q)\n", ArityError, SourceSpan(1, 2)),
+            ("\ufeff  vertex a\nvertex b\nvertex a\n", DuplicateIdentifierError,
+             SourceSpan(3, 8)),
+        ],
+    )
+    def test_semantic_error_spans_count_columns_after_the_bom(self, src, error, span):
+        with pytest.raises(HypernetworkError) as err:
+            parse(src)
+        assert type(err.value) is error
+        assert err.value.span == span
+
 
 def test_regex_whitespace_is_str_isspace():
     every = "".join(map(chr, range(0x110000)))
@@ -356,8 +372,17 @@ _SPACES = (" ", "\t", "\xa0", "\x0c", "\u2028", "\u3000", "\r")
 
 
 def _fast(line):
-    names = text._Names()
-    return text._match_line(line, names, text._Slots(names))
+    """The declaration the parser builds from one line and its name's column, or None."""
+    try:
+        h = parse_unchecked(line)
+    except HtSyntaxError:
+        return None
+    decls = [*h.vertices, *h.relations, *h.simplices]
+    if not decls:
+        return None
+    [(_, span)] = text._name_spans(line)
+    [decl] = decls
+    return decl, span.column
 
 
 def _gap(rng, nonempty=False):
