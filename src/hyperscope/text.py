@@ -104,6 +104,18 @@ class _Slots(dict):
         return slot
 
 
+class _Tags(dict):
+    """Per-parse table of one tag tuple per distinct tag-list text; no list is ``()``."""
+
+    def __init__(self, names: _Names):
+        super().__init__({None: ()})
+        self.names = names
+
+    def __missing__(self, text: str) -> tuple[Identifier, ...]:
+        tags = self[text] = tuple([self.names[t.strip()] for t in text.split(",")])
+        return tags
+
+
 class _Cursor:
     """The tokens of one comment-stripped line, read left to right."""
 
@@ -224,12 +236,35 @@ _ERRORS = {
 }
 
 
+# A block of lines ends at the first "\n" this many characters after its
+# start: large enough that the cost per block is lost in the cost per line,
+# small enough that one block's line strings are a sliver of a large text.
+_BLOCK = 1 << 16
+
+
+def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The lines of ``text`` in blocks of whole lines, each with its first line number.
+
+    One leading U+FEFF is skipped and lines end at ``"\\n"`` only, so the
+    blocks hold the lines of ``text.removeprefix("\\ufeff").split("\\n")``
+    in order, without every line alive at once.
+    """
+    lineno, start = 1, int(text.startswith("\ufeff"))
+    while (end := text.find("\n", start + _BLOCK)) >= 0:
+        lines = text[start:end].split("\n")
+        yield lineno, lines
+        lineno += len(lines)
+        start = end + 1
+    yield lineno, text[start:].split("\n")
+
+
 def _name_spans(text: str) -> Iterator[tuple[str, SourceSpan]]:
     """The name and its span of each declaration in a text ``parse_unchecked`` accepts."""
-    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        m = _SIMPLEX_RE.match(line) or _VERTEX_RE.match(line) or _RELATION_RE.match(line)
-        if m is not None:
-            yield m[1], SourceSpan(lineno, m.start(1) + 1)
+    for first, lines in _blocks(text):
+        for lineno, line in enumerate(lines, start=first):
+            m = _SIMPLEX_RE.match(line) or _VERTEX_RE.match(line) or _RELATION_RE.match(line)
+            if m is not None:
+                yield m[1], SourceSpan(lineno, m.start(1) + 1)
 
 
 def _raise_for(report: axioms.ValidationReport, text: str) -> None:
@@ -259,27 +294,29 @@ def parse_unchecked(text: str) -> Hypernetwork:
     simplices: list[Hypersimplex] = []
     names = _Names()
     slots = _Slots(names)
+    tag_lists = _Tags(names)
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
-    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        if m := simplex(line):
-            sid, refs, rel, tags, kind = m.groups()
-            simplices.append(Hypersimplex(
-                names[sid],
-                tuple([slots[r.strip()] for r in refs.split(",")]),
-                names[rel],
-                beta if kind == "beta" else alpha,
-                tuple([names[t.strip()] for t in tags.split(",")]) if tags else (),
-            ))
-        elif m := vertex(line):
-            vertices.append(names[m[1]])
-        elif m := relation(line):
-            roles = tuple([r.strip() for r in m[2].split(",")])
-            if len(set(roles)) < len(roles):
-                _parse_line(line, lineno)  # raises the duplicate role's error
-            relations.append(RelationSymbol(names[m[1]], roles))
-        else:
-            _parse_line(line, lineno)
+    for first, lines in _blocks(text):
+        for lineno, line in enumerate(lines, start=first):
+            if m := simplex(line):
+                sid, refs, rel, tags, kind = m.groups()
+                simplices.append(Hypersimplex(
+                    names[sid],
+                    tuple([slots[r.strip()] for r in refs.split(",")]),
+                    names[rel],
+                    beta if kind == "beta" else alpha,
+                    tag_lists[tags],
+                ))
+            elif m := vertex(line):
+                vertices.append(names[m[1]])
+            elif m := relation(line):
+                roles = tuple([r.strip() for r in m[2].split(",")])
+                if len(set(roles)) < len(roles):
+                    _parse_line(line, lineno)  # raises the duplicate role's error
+                relations.append(RelationSymbol(names[m[1]], roles))
+            else:
+                _parse_line(line, lineno)
     return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
 
 

@@ -1,12 +1,13 @@
 """The token-by-token builder of ``.ht`` declarations, kept as a reference.
 
 The parser builds every declaration from the whole-line regexes of
-``hyperscope.text`` (``_match_line``). Its token path only diagnoses the
-lines those regexes reject. The builder below is that token path as it
+``hyperscope.text``, in ``parse_unchecked``. Its token path only diagnoses
+the lines those regexes reject. The builder below is that token path as it
 stood when it also built values, kept verbatim as the slow reference:
-wherever it accepts a line, ``_match_line`` must return an equal
-declaration, with names of the same types, at the same column. It imports
-only the value types and the name grammar, never the parser under test.
+wherever it accepts a line, ``parse_unchecked`` of that line must return an
+equal declaration, with names of the same types, at the same column. It
+imports only the value types and the name grammar, never the parser under
+test.
 """
 
 from __future__ import annotations
