@@ -21,8 +21,9 @@ any other name raises too (on CPython 3.11 the ``TypeError`` of the
 ``__setattr__`` that ``dataclasses`` generates), leaving the value unchanged.
 The parser and the operators build and compare them per element, so the
 constructors of ``Participant`` and ``Hypersimplex`` and ``Participant``'s
-``__eq__`` and ``__hash__`` are hand-written, with the signature, errors and
-semantics of the generated ones.
+``__eq__`` are hand-written, with the signature, errors and semantics of the
+generated ones; ``dataclasses`` keeps that ``__eq__`` and generates
+``Participant``'s ``__hash__`` from the two fields.
 
 Constructors check only the local shape of a value: ``Identifier`` the
 identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
@@ -91,7 +92,7 @@ class Kind(Enum):
     BETA = "beta"
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Participant:
     """One ordered slot of a hypersimplex.
 
@@ -113,9 +114,6 @@ class Participant:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.ref == other.ref and self.excluded == other.excluded
-
-    def __hash__(self) -> int:
-        return hash((self.ref, self.excluded))
 
     def __str__(self) -> str:
         return f"!{self.ref}" if self.excluded else str(self.ref)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from . import axioms
 from .errors import (
@@ -242,29 +243,26 @@ _ERRORS = {
 _BLOCK = 1 << 16
 
 
-def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """The lines of ``text`` in blocks of whole lines, each with its first line number.
+def _blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` in blocks of whole lines.
 
     One leading U+FEFF is skipped and lines end at ``"\\n"`` only, so the
     blocks hold the lines of ``text.removeprefix("\\ufeff").split("\\n")``
     in order, without every line alive at once.
     """
-    lineno, start = 1, int(text.startswith("\ufeff"))
+    start = int(text.startswith("\ufeff"))
     while (end := text.find("\n", start + _BLOCK)) >= 0:
-        lines = text[start:end].split("\n")
-        yield lineno, lines
-        lineno += len(lines)
+        yield text[start:end].split("\n")
         start = end + 1
-    yield lineno, text[start:].split("\n")
+    yield text[start:].split("\n")
 
 
 def _name_spans(text: str) -> Iterator[tuple[str, SourceSpan]]:
     """The name and its span of each declaration in a text ``parse_unchecked`` accepts."""
-    for first, lines in _blocks(text):
-        for lineno, line in enumerate(lines, start=first):
-            m = _SIMPLEX_RE.match(line) or _VERTEX_RE.match(line) or _RELATION_RE.match(line)
-            if m is not None:
-                yield m[1], SourceSpan(lineno, m.start(1) + 1)
+    for lineno, line in enumerate(chain.from_iterable(_blocks(text)), 1):
+        m = _SIMPLEX_RE.match(line) or _VERTEX_RE.match(line) or _RELATION_RE.match(line)
+        if m is not None:
+            yield m[1], SourceSpan(lineno, m.start(1) + 1)
 
 
 def _raise_for(report: axioms.ValidationReport, text: str) -> None:
@@ -297,26 +295,25 @@ def parse_unchecked(text: str) -> Hypernetwork:
     tag_lists = _Tags(names)
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
-    for first, lines in _blocks(text):
-        for lineno, line in enumerate(lines, start=first):
-            if m := simplex(line):
-                sid, refs, rel, tags, kind = m.groups()
-                simplices.append(Hypersimplex(
-                    names[sid],
-                    tuple([slots[r.strip()] for r in refs.split(",")]),
-                    names[rel],
-                    beta if kind == "beta" else alpha,
-                    tag_lists[tags],
-                ))
-            elif m := vertex(line):
-                vertices.append(names[m[1]])
-            elif m := relation(line):
-                roles = tuple([r.strip() for r in m[2].split(",")])
-                if len(set(roles)) < len(roles):
-                    _parse_line(line, lineno)  # raises the duplicate role's error
-                relations.append(RelationSymbol(names[m[1]], roles))
-            else:
-                _parse_line(line, lineno)
+    for lineno, line in enumerate(chain.from_iterable(_blocks(text)), 1):
+        if m := simplex(line):
+            sid, refs, rel, tags, kind = m.groups()
+            simplices.append(Hypersimplex(
+                names[sid],
+                tuple([slots[r.strip()] for r in refs.split(",")]),
+                names[rel],
+                beta if kind == "beta" else alpha,
+                tag_lists[tags],
+            ))
+        elif m := vertex(line):
+            vertices.append(names[m[1]])
+        elif m := relation(line):
+            roles = tuple([r.strip() for r in m[2].split(",")])
+            if len(set(roles)) < len(roles):
+                _parse_line(line, lineno)  # raises the duplicate role's error
+            relations.append(RelationSymbol(names[m[1]], roles))
+        else:
+            _parse_line(line, lineno)
     return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
 
 
