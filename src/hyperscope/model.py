@@ -6,14 +6,17 @@ elsewhere in the package always return new hypernetworks and never mutate an
 existing one, so any value can be shared freely across threads.
 
 A ``Hypernetwork`` also carries derived data that depends on its value
-alone: its structural digest, its tag index, a map from each hypersimplex
-id to the position of its first declaration, and the kind of each declared
-name. Each is computed lazily on first use and cached on the instance,
-outside the fields that equality, hashing and ``repr`` read.
+alone: its structural digest, its tag index, and a map from each
+hypersimplex id to the position of its first declaration. Each is computed
+lazily on first use and cached on the instance, outside the fields that
+equality, hashing and ``repr`` read.
 Computing one twice (say, from two threads at once) gives equal results,
-so the cache never makes a value unsafe to share. A name's kind is the kind
-of its first declaration: ``validate`` and the kind check of ``merge`` and
-``meet`` share that one rule, :func:`declaration_kinds`.
+so the cache never makes a value unsafe to share. Code that only checks a
+few names reads the id map when the value already holds it, and otherwise
+scans the ids once, so a short-lived value does not keep a map it used
+once. A name's kind is the kind of its first declaration: ``validate`` and
+the kind check of ``merge`` and ``meet`` share that one rule,
+:func:`declaration_kinds`, which is not cached.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -40,6 +43,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import UnresolvedIdentifierError
 
@@ -66,6 +70,10 @@ class Identifier(str):
         if not is_identifier(name):
             raise ValueError(f"invalid identifier: {name!r}")
         return super().__new__(cls, name)
+
+
+# The id of a hypersimplex, read in C by ``map`` and ``filter``.
+_ID = attrgetter("id")
 
 
 def is_identifier(name: object) -> bool:
@@ -266,10 +274,6 @@ class Hypernetwork:
             at.setdefault(s.id, i)
         return at
 
-    @cached_property
-    def _kinds(self) -> dict[Identifier, str]:
-        return declaration_kinds(self)
-
 
 @dataclass(frozen=True)
 class View:
@@ -290,8 +294,9 @@ def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
     """Name -> kind of its first declaration: vertices, relations, hypersimplices.
 
     This is A1's one rule for a name declared more than once, in
-    declaration order. :func:`hyperscope.axioms.validate` calls it afresh;
-    the kind check of ``merge`` and ``meet`` reads it cached as ``h._kinds``.
+    declaration order. :func:`hyperscope.axioms.validate` calls it, and so
+    does the kind check of ``merge`` and ``meet`` when a name of one input
+    is declared in another namespace of the other.
     """
     kinds: dict[Identifier, str] = {}
     for v in h.vertices:
@@ -310,8 +315,15 @@ def require_declared(h: Hypernetwork, names: Iterable[str],
     Names resolve against vertices plus hypersimplex ids; relation names and
     tags live in separate spaces. The least name, not the first, is reported,
     so the error does not depend on the iteration order of ``names``.
+
+    Reads ``h``'s id map only when ``h`` already holds it; otherwise one
+    pass over ``h.simplices`` reads their ids, and no map is built.
     """
-    missing = {n for n in names if n not in h._at}
+    at = vars(h).get("_at")
+    if at is None:
+        missing = set(names).difference(map(_ID, h.simplices))
+    else:
+        missing = {n for n in names if n not in at}
     if missing:
         missing.difference_update(h.vertices)
     if missing:
@@ -342,8 +354,8 @@ def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[i
     and the names that reached hypersimplices reference only as anti-vertices.
     """
     closure: set[Identifier] = set(roots)
+    at, sims = h._at, h.simplices  # first: every name reached is looked up, the roots too
     require_declared(h, closure)
-    at, sims = h._at, h.simplices
     reached: list[int] = []
     anti: set[Identifier] = set()
     stack = list(closure)  # each name enters the closure and the stack once

@@ -27,6 +27,8 @@ from .model import (
     Hypernetwork,
     Hypersimplex,
     Participant,
+    _ID,
+    declaration_kinds,
     require_declared,
     walk,
 )
@@ -39,18 +41,37 @@ def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose:
     ``sims`` bind. ``loose`` holds the names that may point at a hypersimplex
     of ``h`` not among ``sims``; each such hypersimplex that is not a kept
     vertex is demoted to a vertex declaration, so every reference resolves.
-    They are found through ``h._at``, and by a scan of ``h.simplices`` only
-    when ``h`` declares an id twice.
+    They are found through ``h._at`` when ``h`` already holds it, and
+    otherwise, or when ``h`` declares an id twice, by one pass over the ids
+    of ``h.simplices``.
     """
     vertices = tuple(filter(names.__contains__, h.vertices))
     loose.difference_update(vertices)  # in place: every caller builds ``loose`` for this call
-    all_sims, at = h.simplices, h._at
-    if len(at) < len(all_sims):  # an id declared twice: ``at`` holds only its first declaration
-        demoted = tuple(s.id for s in all_sims if s.id in loose)
+    all_sims, at = h.simplices, vars(h).get("_at")
+    if not loose:
+        demoted = ()
+    elif at is None or len(at) < len(all_sims):  # no map, or an id declared twice
+        demoted = tuple(filter(loose.__contains__, map(_ID, all_sims)))
     else:
         demoted = tuple(all_sims[i].id for i in sorted(at[x] for x in loose if x in at))
     rel_refs = {s.relation for s in sims}
     return Hypernetwork(vertices + demoted, tuple(r for r in h.relations if r.id in rel_refs), sims)
+
+
+def _apart(h1: Hypernetwork, h2: Hypernetwork, at2: dict, rel2: dict) -> bool:
+    """Whether ``h2`` declares no name of ``h1`` in another namespace than ``h1`` does.
+
+    The namespaces are vertices, relations and hypersimplex ids. When they
+    are apart, no name has one kind in ``h1`` and another in ``h2``. Each
+    test runs in C, and none builds ``h1``'s id map.
+    """
+    rel1 = {r.id for r in h1.relations}
+    others2 = set(h2.vertices)
+    if not (at2.keys().isdisjoint(h1.vertices) and rel2.keys().isdisjoint(h1.vertices)
+            and at2.keys().isdisjoint(rel1) and others2.isdisjoint(rel1)):
+        return False
+    others2.update(rel2)
+    return others2.isdisjoint(map(_ID, h1.simplices))
 
 
 def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
@@ -61,21 +82,24 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     global: one name may not stand for a vertex on one side and a
     hypersimplex on the other, nor for two different relation symbols, and
     a hypersimplex named in both must be structurally equal (tags aside).
+    Kinds are compared, in ``h1``'s declaration order, only when the
+    namespaces of the two inputs meet (see :func:`_apart`).
 
     Pairs through ``h2``'s cached id -> position map. When ``h2`` declares
     an id twice, the last declaration is the one compared and yielded.
     """
-    k2 = h2._kinds
-    for name, kind in h1._kinds.items():
-        other = k2.get(name)
-        if other is not None and other != kind:
-            raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
+    sims2, at2 = h2.simplices, h2._at
     rel2 = {r.id: r for r in h2.relations}
+    if not _apart(h1, h2, at2, rel2):
+        k2 = declaration_kinds(h2)
+        for name, kind in declaration_kinds(h1).items():
+            other = k2.get(name)
+            if other is not None and other != kind:
+                raise IdentityConflictError(f"{name} is a {kind} in one input and a {other} in the other")
     for r in h1.relations:
         other = rel2.get(r.id)
         if other is not None and other != r:
             raise IdentityConflictError(f"relation {r.id} declared with different roles")
-    sims2, at2 = h2.simplices, h2._at
     if len(at2) < len(sims2):  # an id declared twice: pair with its last declaration
         at2 = {t.id: i for i, t in enumerate(sims2)}
     for s in h1.simplices:
@@ -95,8 +119,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     aside) and carries the union of both tag sets, ``h1``'s tag order
     first; shared vertices and relations must be identical.
     """
-    kinds1 = h1._kinds
-    vertices = h1.vertices + tuple(v for v in h2.vertices if kinds1.get(v) != "vertex")
+    vertices = h1.vertices + tuple(filterfalse(set(h1.vertices).__contains__, h2.vertices))
     rel1 = {r.id for r in h1.relations}
     relations = h1.relations + tuple(r for r in h2.relations if r.id not in rel1)
 

@@ -1,8 +1,10 @@
-"""The lazily cached digest, tag index, id positions and kind table of a Hypernetwork.
+"""The lazily cached digest, tag index and id positions of a Hypernetwork.
 
 Each cache is checked against a fresh computation or against the linear
 scan it replaced, kept here as the slow reference, and shown to leave the
-value's equality, hashing, ``repr`` and fields untouched.
+value's equality, hashing, ``repr`` and fields untouched. Checks of a few
+names read the id map only when the value already holds it; they are shown
+to give the same result, or the same error, either way.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pickle
 
 import pytest
 
+import hyperscope.scope
 import hyperscope.text
 from hyperscope import (
     Hypernetwork,
@@ -21,21 +24,29 @@ from hyperscope import (
     Identifier,
     Participant,
     RelationSymbol,
+    UnresolvedIdentifierError,
     View,
+    difference,
     load_fixture,
+    meet,
     parse,
     project,
+    prune,
+    scoped_prune,
+    scoped_split,
     serialize,
+    split,
     structural_digest,
     validate,
     visible_set,
 )
+from hyperscope.model import require_declared
 from hyperscope.scope import _tagged
 
 from gen import acceptance_corpus
-from test_ops_reference import _assemble
+from test_ops_reference import REFERENCE, _assemble, typed
 
-CACHES = ("_digest", "_tag_index", "_at", "_kinds")
+CACHES = ("_digest", "_tag_index", "_at")
 
 
 def fresh(h: Hypernetwork) -> Hypernetwork:
@@ -47,7 +58,6 @@ def fill(h: Hypernetwork) -> Hypernetwork:
     structural_digest(h)
     h.tag_universe()
     h.simplex("no-such-simplex")
-    h._kinds
     assert set(CACHES) <= set(vars(h))
     return h
 
@@ -249,3 +259,89 @@ class TestSlots:
         for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
             assert copied == h
             assert serialize(copied) == serialize(h)
+
+
+# -- checks that read the id map only when the value already holds it -------
+
+def _mapped(h: Hypernetwork) -> Hypernetwork:
+    """An equal value whose id map is built, and no other cache."""
+    h = fresh(h)
+    h._at
+    return h
+
+
+def _result(fn, *args):
+    """What ``fn(*args)`` returns, in typed form, or its unresolved-name message."""
+    try:
+        out = fn(*args)
+    except UnresolvedIdentifierError as exc:
+        return "unresolved", str(exc)
+    if isinstance(out, View):
+        return out.base_digest, out.boundary, typed(out.content)
+    return None if out is None else typed(out)
+
+
+def _name_groups(h: Hypernetwork) -> list[list[str]]:
+    """Each declared name, relation name and bad name alone, and some mixes."""
+    names = [*h.vertices, *(s.id for s in h.simplices)]
+    relations = [r.id for r in h.relations]
+    groups = [[n] for n in (*names, *relations, "ghost", "a b", "")]
+    groups += [[], names, [*names[:2], *relations[:1]], ["a b", *relations[:1], "ghost"]]
+    return groups
+
+
+class TestOneShotChecks:
+    def values(self):
+        return [*(load_fixture(k) for k in ("E1", "E2", "E3")), *_invalid_values(),
+                *acceptance_corpus()[:40]]
+
+    def test_require_prune_and_split_agree_with_and_without_the_id_map(self):
+        for h in self.values():
+            for group in _name_groups(h):
+                for fn in (require_declared, prune, split):
+                    cold = fresh(h)
+                    got = _result(fn, cold, group)
+                    assert got == _result(fn, _mapped(h), group), (fn.__name__, h, group)
+                    if fn is prune:
+                        assert "_at" not in vars(cold)
+                        assert got == _result(REFERENCE["prune"], h, group)
+
+    def test_scoped_prune_and_split_agree_with_and_without_the_views_id_map(self, monkeypatch):
+        cases = [(h, b, group) for h in self.values()
+                 for b in (*h.tag_universe()[:2], "unknown")
+                 for group in _name_groups(project(h, b).content)]
+        cold = [_result(fn, h, group, b) for h, b, group in cases for fn in (scoped_prune, scoped_split)]
+        real = hyperscope.scope.project
+
+        def project_mapped(h, b):
+            view = real(h, b)
+            view.content._at
+            return view
+
+        monkeypatch.setattr(hyperscope.scope, "project", project_mapped)
+        mapped = [_result(fn, h, group, b) for h, b, group in cases for fn in (scoped_prune, scoped_split)]
+        assert cold == mapped
+        assert any(r[0] == "unresolved" for r in cold) and any(r[0] != "unresolved" for r in cold)
+
+    def test_the_repeated_id_is_demoted_once_per_declaration_either_way(self):
+        _, repeated_id = _invalid_values()
+        # "y" references "x", declared twice: each declaration leaves a vertex.
+        both_x = Hypernetwork(simplices=repeated_id.simplices[::2])
+        for h in (fresh(repeated_id), _mapped(repeated_id)):
+            assert difference(h, both_x).vertices == ("x", "x")
+            assert prune(h, ["x"]).vertices == ("a", "b", "x", "x")
+            assert _result(require_declared, h, ["R", "a b"]) == ("unresolved", "R does not resolve to a "
+                                                                  "vertex or hypersimplex")
+
+    def test_prune_meet_and_difference_build_no_id_map_on_a_fresh_left_input(self, bicycle):
+        only_bicycle = Hypernetwork(simplices=(bicycle.simplex("bicycle"),))
+        only_drive = Hypernetwork(simplices=(bicycle.simplex("drive"),))
+        for op, other in ((prune, ["drive", "frame"]), (meet, only_bicycle), (difference, only_drive)):
+            h = fresh(bicycle)
+            out = op(h, other)
+            assert "_at" not in vars(h), op.__name__
+            assert "drive" in out.vertices and "drive" not in bicycle.vertices  # a demoted id
+            assert typed(out) == typed(REFERENCE[op.__name__](bicycle, other))
+        h = fresh(bicycle)
+        split(h, ["cyclist"])
+        assert "_at" in vars(h)

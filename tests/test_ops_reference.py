@@ -28,7 +28,7 @@ from hyperscope import (
     ops,
     project,
 )
-from hyperscope.model import descendants, require_declared
+from hyperscope.model import declaration_kinds, descendants, require_declared
 
 from gen import (
     TWO_CONFLICTS,
@@ -307,9 +307,9 @@ SPLIT_BRANCHES = {
 
 # --- the tests -------------------------------------------------------------
 
-def test_the_cached_kind_table_is_the_reference_table_in_order():
+def test_the_kind_table_is_the_reference_table_in_order():
     for h in acceptance_corpus() + fixtures() + invalid_values():
-        assert list(h._kinds.items()) == list(_declaration_kinds(h).items())
+        assert list(declaration_kinds(h).items()) == list(_declaration_kinds(h).items())
 
 
 def test_compatible_pairs_and_triples():
@@ -390,3 +390,27 @@ def test_the_first_conflict_in_h1_order_is_named(op):
         getattr(ops, op)(h1, h2)
     assert str(exc.value) == message
     assert outcome(REFERENCE[op], h1, h2) == (IdentityConflictError, message)
+
+
+def test_kinds_are_compared_only_where_the_namespaces_meet(monkeypatch):
+    corpus = acceptance_corpus()[:100]
+    # Namespaces that meet without a conflict across the inputs: a value with
+    # itself when it declares a name twice, and h1 of VERTEX_AND_SIMPLEX.
+    meeting = [(h, h) for h in invalid_values()] + [(m, m) for h in corpus for m in kind_mutants(h)]
+    meeting += [VERTEX_AND_SIMPLEX, VERTEX_AND_SIMPLEX[::-1]]
+    apart = [compatible_pair(random.Random(seed)) for seed in range(50)] + [(h, h) for h in corpus]
+    calls = []
+    real = ops.declaration_kinds
+    monkeypatch.setattr(ops, "declaration_kinds", lambda h: calls.append(h) or real(h))
+    met = 0
+    for h1, h2 in meeting + apart:
+        disjoint = ops._apart(h1, h2, h2._at, {r.id: r for r in h2.relations})
+        met += not disjoint
+        for op in ("merge", "meet"):
+            calls.clear()
+            got = outcome(getattr(ops, op), h1, h2)
+            assert got == outcome(REFERENCE[op], h1, h2)
+            assert " in one input and a " not in str(got[1])
+            assert len(calls) == (0 if disjoint else 2)
+    assert met > len(meeting) * 3 // 4
+    assert all(ops._apart(h1, h2, h2._at, {r.id: r for r in h2.relations}) for h1, h2 in apart)

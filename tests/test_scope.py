@@ -335,3 +335,13 @@ class TestViewAlgebra:
         assert inter.vertices == ("v", "x", "y")
         assert [str(s.id) for s in inter.simplices] == ["t"]
         assert validate(inter).ok
+
+    def test_intersection_declares_vertices_in_the_left_views_order(self):
+        h = parse(
+            "vertex a\nrelation R1(r)\nrelation R2(p, q)\nx = < a ; R1 >\ny = < a ; R1 >\n"
+            "B1 = < !x, y ; R2 ; b >\nB2 = < x, !y ; R2 ; c >\n"
+        )
+        v1, v2 = scoped_prune(h, {"y"}, "b"), scoped_prune(h, {"x"}, "c")
+        assert (v1.content.vertices, v2.content.vertices) == (("a", "x", "y"), ("a", "y", "x"))
+        assert view_intersect(v1, v2).content.vertices == ("a", "x", "y")
+        assert view_intersect(v2, v1).content.vertices == ("a", "y", "x")
