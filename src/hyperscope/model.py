@@ -9,14 +9,13 @@ A ``Hypernetwork`` also carries derived data that depends on its value
 alone: its structural digest, its tag index, and a map from each
 hypersimplex id to the position of its first declaration. Each is computed
 lazily on first use and cached on the instance, outside the fields that
-equality, hashing and ``repr`` read.
-Computing one twice (say, from two threads at once) gives equal results,
-so the cache never makes a value unsafe to share. Code that only checks a
-few names reads the id map when the value already holds it, and otherwise
-scans the ids once, so a short-lived value does not keep a map it used
-once. A name's kind is the kind of its first declaration: ``validate`` and
-the kind check of ``merge`` and ``meet`` share that one rule,
-:func:`declaration_kinds`, which is not cached.
+equality, hashing and ``repr`` read. Computing one twice (say, from two
+threads at once) gives equal results, so the cache never makes a value
+unsafe to share. Code that only checks a few names reads the id map when the
+value already holds it, and otherwise scans the ids once, so a short-lived
+value does not keep a map it used once. A name's kind is the kind of its
+first declaration: ``validate`` and the kind check of ``merge`` and ``meet``
+share that one rule, :func:`declaration_kinds`, which is not cached.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -26,7 +25,9 @@ The parser and the operators build and compare them per element, so the
 constructors of ``Participant`` and ``Hypersimplex`` and ``Participant``'s
 ``__eq__`` are hand-written, with the signature, errors and semantics of the
 generated ones; ``dataclasses`` keeps that ``__eq__`` and generates
-``Participant``'s ``__hash__`` from the two fields.
+``Participant``'s ``__hash__`` from the two fields. ``merge`` and ``meet``
+retag a hypersimplex with the private ``_retagged``, which writes its other
+fields as they are: ``__init__`` has converted and checked them already.
 
 Constructors check only the local shape of a value: ``Identifier`` the
 identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
@@ -198,6 +199,18 @@ class Hypersimplex:
 
 
 _HYPERSIMPLEX_SLOTS = tuple(Hypersimplex.__dict__[f.name].__set__ for f in fields(Hypersimplex))
+
+
+def _retagged(s: Hypersimplex, tags: tuple[Identifier, ...]) -> Hypersimplex:
+    """``s`` with the tag tuple ``tags``, sharing every other field of ``s``."""
+    new = object.__new__(Hypersimplex)
+    set_id, set_participants, set_relation, set_kind, set_tags = _HYPERSIMPLEX_SLOTS
+    set_id(new, s.id)
+    set_participants(new, s.participants)
+    set_relation(new, s.relation)
+    set_kind(new, s.kind)
+    set_tags(new, tags)
+    return new
 
 
 @dataclass(frozen=True)

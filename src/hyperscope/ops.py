@@ -15,6 +15,7 @@ place, still resolves and arity is preserved.
 
 Hypersimplices an operator does not change are shared with its result, not
 copied: values are frozen, so the result may hold the input's own objects.
+A changed one is rebuilt only for its new tags or slots.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     Hypersimplex,
     Participant,
     _ID,
+    _retagged,
     declaration_kinds,
     require_declared,
     walk,
@@ -125,10 +127,10 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
 
     out = []
     for s, t in _paired(h1, h2):
-        if t is not None and t.tags != s.tags:
-            added = tuple(filterfalse(set(s.tags).__contains__, t.tags))
+        if t is not None and t.tags and t.tags != s.tags:
+            added = tuple(filterfalse(set(s.tags).__contains__, t.tags)) if s.tags else t.tags
             if added:
-                s = Hypersimplex(s.id, s.participants, s.relation, s.kind, s.tags + added)
+                s = _retagged(s, s.tags + added)  # ``() + added`` is ``added`` itself
         out.append(s)
     ids1 = h1._at
     out += [t for t in h2.simplices if t.id not in ids1]
@@ -146,13 +148,13 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     for s, t in _paired(h1, h2):
         if t is None:
             continue
-        if s.tags != t.tags:
-            tags = tuple(filter(set(t.tags).__contains__, s.tags))
+        if s.tags and s.tags != t.tags:
+            tags = tuple(filter(set(t.tags).__contains__, s.tags)) if t.tags else ()
             if len(tags) != len(s.tags):
-                s = Hypersimplex(s.id, s.participants, s.relation, s.kind, tags)
+                s = _retagged(s, tags)
         survivors.append(s)
     refs = {p.ref for s in survivors for p in s.participants}
-    return _assemble(h1, survivors, refs, refs.difference(s.id for s in survivors))
+    return _assemble(h1, survivors, refs, refs.difference(map(_ID, survivors)))
 
 
 def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
@@ -164,7 +166,7 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     ids2 = h2._at
     survivors = [s for s in h1.simplices if s.id not in ids2]
     refs = {p.ref for s in survivors for p in s.participants}
-    return _assemble(h1, survivors, refs, refs.difference(s.id for s in survivors))
+    return _assemble(h1, survivors, refs, refs.difference(map(_ID, survivors)))
 
 
 def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:

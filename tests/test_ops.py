@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -21,14 +23,17 @@ from hyperscope import (
     scoped_apply,
     merge,
     meet,
+    ops,
     parse,
     prune,
     serialize,
     split,
     validate,
 )
+from hyperscope.model import _retagged
 
 from gen import acceptance_corpus
+from test_ops_reference import REFERENCE, outcome
 
 
 def _one_simplex_net(tags, participant="a"):
@@ -392,3 +397,47 @@ class TestSharing:
             outs = [difference(h, EMPTY), difference(h, nets[i - 1])]
             outs += [op(h, [n]) for n in names for op in (prune, split)]
             assert all(_shares_unchanged(out, h) for out in outs)
+
+
+# Tag tuples on each side of a shared hypersimplex: empty, one tag, two in
+# either order, a disjoint pair, and a repeated tag.
+TAG_TUPLES = [(), ("p",), ("p", "q"), ("q", "p"), ("q", "z"), ("p", "p")]
+
+
+class TestRetagging:
+    """``merge`` and ``meet`` retag through ``model._retagged`` and skip work on empty tags."""
+
+    @pytest.mark.parametrize("op", ["merge", "meet"])
+    @pytest.mark.parametrize("left", TAG_TUPLES, ids=repr)
+    @pytest.mark.parametrize("right", TAG_TUPLES, ids=repr)
+    def test_tags_match_the_reference(self, op, left, right):
+        h1, h2 = _one_simplex_net(left), _one_simplex_net(right)
+        # Equal typed outcomes: full-equal results with the same name types.
+        assert outcome(getattr(ops, op), h1, h2) == outcome(REFERENCE[op], h1, h2)
+
+    @pytest.mark.parametrize("kind", Kind)
+    @pytest.mark.parametrize("tags", TAG_TUPLES, ids=repr)
+    def test_a_retagged_value_is_a_constructed_value(self, bicycle, kind, tags):
+        tags = tuple(map(Identifier, tags))
+        for s in bicycle.simplices:
+            s = Hypersimplex(s.id, s.participants, s.relation, kind, s.tags)
+            got = _retagged(s, tags)
+            want = Hypersimplex(s.id, s.participants, s.relation, kind, tags)
+            assert type(got) is Hypersimplex
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            for protocol in (2, pickle.HIGHEST_PROTOCOL):
+                copied = pickle.loads(pickle.dumps(got, protocol))
+                assert copied == want and repr(copied) == repr(want)
+            assert got.tags is tags and got.participants is s.participants
+
+    def test_every_assignment_to_a_retagged_value_raises(self, bicycle):
+        s = bicycle.simplices[0]
+        got = _retagged(s, (Identifier("p"),))
+        for field in dataclasses.fields(got):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, field.name, getattr(s, field.name))
+        for name in ("other", "__dict__"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(got, name, None)
+        assert got == s.with_tags(["p"])
