@@ -321,6 +321,13 @@ def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
     return kinds
 
 
+def _names(names: Iterable[str]) -> set[str]:
+    """``set(names)``; a bare ``str``, which would be its characters, raises TypeError."""
+    if isinstance(names, str):
+        raise TypeError(f"expected a collection of names, not the str {names!r}")
+    return set(names)
+
+
 def require_declared(h: Hypernetwork, names: Iterable[str],
                      reason: str = "does not resolve to a vertex or hypersimplex") -> None:
     """Raise UnresolvedIdentifierError for the least of ``names`` that ``h`` lacks.
@@ -353,7 +360,8 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     are never pulled in.
 
     Raises UnresolvedIdentifierError when a root is neither a declared
-    vertex nor a declared hypersimplex of ``h``.
+    vertex nor a declared hypersimplex of ``h``, and TypeError when
+    ``roots`` is a bare ``str``.
     """
     return walk(h, roots)[0]
 
@@ -365,23 +373,26 @@ def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[i
     ``h.simplices`` of the hypersimplices it reached (one per closure name
     that is a hypersimplex id, its first declaration, in no fixed order),
     and the names that reached hypersimplices reference only as anti-vertices.
+    The stack holds those positions, never names: a name is looked up once,
+    as it enters the closure, and a vertex is never stacked.
     """
-    closure: set[Identifier] = set(roots)
+    closure = _names(roots)
     at, sims = h._at, h.simplices  # first: every name reached is looked up, the roots too
     require_declared(h, closure)
+    stack = [i for i in map(at.get, closure) if i is not None]
     reached: list[int] = []
     anti: set[Identifier] = set()
-    stack = list(closure)  # each name enters the closure and the stack once
     while stack:
-        i = at.get(stack.pop())
-        if i is not None:
-            reached.append(i)
-            for p in sims[i].participants:
-                if p.excluded:
-                    anti.add(p.ref)
-                elif p.ref not in closure:
-                    closure.add(p.ref)
-                    stack.append(p.ref)
+        i = stack.pop()
+        reached.append(i)
+        for p in sims[i].participants:
+            if p.excluded:
+                anti.add(p.ref)
+            elif p.ref not in closure:
+                closure.add(p.ref)
+                j = at.get(p.ref)
+                if j is not None:
+                    stack.append(j)
     anti.difference_update(closure)
     return closure, reached, anti
 

@@ -29,6 +29,7 @@ from .model import (
     Hypersimplex,
     Participant,
     _ID,
+    _names,
     _retagged,
     declaration_kinds,
     require_declared,
@@ -56,8 +57,13 @@ def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose:
         demoted = tuple(filter(loose.__contains__, map(_ID, all_sims)))
     else:
         demoted = tuple(all_sims[i].id for i in sorted(at[x] for x in loose if x in at))
-    rel_refs = {s.relation for s in sims}
-    return Hypernetwork(vertices + demoted, tuple(r for r in h.relations if r.id in rel_refs), sims)
+    return Hypernetwork(vertices + demoted, _bound_relations(h.relations, sims), sims)
+
+
+def _bound_relations(relations: tuple, sims: Iterable[Hypersimplex]) -> tuple:
+    """The members of ``relations`` that some hypersimplex of ``sims`` binds, in their order."""
+    bound = {s.relation for s in sims}
+    return tuple(r for r in relations if r.id in bound)
 
 
 def _apart(h1: Hypernetwork, h2: Hypernetwork, at2: dict, rel2: dict) -> bool:
@@ -178,7 +184,7 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     members of ``s`` keep their declaration, and removed hypersimplices
     leave a vertex declaration behind, so every anti-vertex resolves.
     """
-    wanted = set(s)
+    wanted = _names(s)
     require_declared(h, wanted)
 
     out, demoted = [], []
@@ -204,21 +210,21 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     ``h`` can enter, and the closure never escapes upward or sideways.
 
     Costs time proportional to the result plus ``h``'s vertex and relation
-    lists: ``_assemble`` gets the closure, the anti-vertices and the
-    hypersimplices the walk reached, and scans ``h.simplices`` only when
-    ``h`` declares an id twice.
+    lists: ``_assemble`` gets the hypersimplices at the positions the walk
+    reached, sorted, and the closure with the anti-vertices added in place.
+    ``h.simplices`` is scanned only when an id is declared twice.
     """
-    seeds = set(c)
-    closure, reached, anti = walk(h, seeds)
+    closure, reached, anti = walk(h, c)
     sims = h.simplices
     if len(h._at) < len(sims):  # an id declared twice: the walk reached only its first declaration
         kept = [s for s in sims if s.id in closure]
         refs = {p.ref for s in kept for p in s.participants}
-        return _assemble(h, kept, refs | seeds, refs - closure)
+        return _assemble(h, kept, refs | closure, refs - closure)
 
     # Only an anti-vertex can name a hypersimplex the walk did not reach.
     reached.sort()
-    return _assemble(h, [sims[i] for i in reached], closure | anti, anti)
+    closure |= anti
+    return _assemble(h, [sims[i] for i in reached], closure, anti)
 
 
 # The binary operators by name, for the scoped layer and the CLI.

@@ -15,18 +15,20 @@ views of different backcloths is not meaningful here.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from itertools import filterfalse
 
 from .errors import BaseMismatchError
 from .model import (
     Hypernetwork,
     Identifier,
     View,
+    _names,
     _sha256,
     descendants,
     require_declared,
     structural_digest,
 )
-from .ops import BINARY, prune, split
+from .ops import BINARY, _bound_relations, prune, split
 
 
 def _tagged(h: Hypernetwork, b: str) -> tuple[Identifier, ...]:
@@ -82,7 +84,7 @@ def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],
             h: Hypernetwork, names: Iterable[str], b: str) -> View:
     """Apply a unary operator to the ``b`` view; every name must be visible."""
     base = project(h, b)
-    names = set(names)
+    names = _names(names)
     require_declared(base.content, names, f"is not visible under boundary {b}")
     return View(base_digest=base.base_digest, content=op(base.content, names))
 
@@ -119,21 +121,16 @@ def view_intersect(v1: View, v2: View) -> View:
     """
     base = _checked_same_base(v1, v2)
     ids2 = v2.content.simplex_ids()
-    sims = [s for s in v1.content.simplices if s.id in ids2]
+    sims = tuple([s for s in v1.content.simplices if s.id in ids2])
 
     in_v2 = set(v2.content.vertices)
-    vertices = [v for v in v1.content.vertices if v in in_v2]
+    vertices = tuple(filter(in_v2.__contains__, v1.content.vertices))
     # keep references resolvable even when the two views disagree on
     # whether an id is a vertex or a (demoted) hypersimplex
-    declared = set(vertices) | {s.id for s in sims}
-    missing: dict[Identifier, None] = {}
-    for s in sims:
-        for p in s.participants:
-            if p.ref not in declared:
-                missing.setdefault(p.ref)
-    rel_refs = {s.relation for s in sims}
-    relations = tuple(r for r in v1.content.relations if r.id in rel_refs)
-    content = Hypernetwork(tuple(vertices) + tuple(missing), relations, tuple(sims))
+    declared = set(vertices)
+    declared.update([s.id for s in sims])
+    missing = dict.fromkeys([p.ref for s in sims for p in s.participants if p.ref not in declared])
+    content = Hypernetwork(vertices + tuple(missing), _bound_relations(v1.content.relations, sims), sims)
     return View(base_digest=base, content=content)
 
 
@@ -144,19 +141,15 @@ def view_union(v1: View, v2: View) -> View:
     projection pair agree on them by construction.
     """
     base = _checked_same_base(v1, v2)
-    ids1 = v1.content.simplex_ids()
-    sims = v1.content.simplices + tuple(
-        s for s in v2.content.simplices if s.id not in ids1
-    )
-    sim_ids = {s.id for s in sims}
+    c1, c2 = v1.content, v2.content
+    sim_ids = c1.simplex_ids()
+    added = tuple([s for s in c2.simplices if s.id not in sim_ids])
+    sim_ids.update([s.id for s in added])
 
-    seen_v = set(v1.content.vertices)
-    vertices = tuple(v for v in v1.content.vertices if v not in sim_ids) + tuple(
-        v for v in v2.content.vertices if v not in seen_v and v not in sim_ids
-    )
-    rel1 = {r.id for r in v1.content.relations}
-    relations = v1.content.relations + tuple(
-        r for r in v2.content.relations if r.id not in rel1
-    )
-    content = Hypernetwork(vertices, relations, sims)
+    vertices = tuple(filterfalse(sim_ids.__contains__, c1.vertices))
+    declared = sim_ids.union(c1.vertices)
+    vertices += tuple(filterfalse(declared.__contains__, c2.vertices))
+    rel1 = {r.id for r in c1.relations}
+    relations = c1.relations + tuple(r for r in c2.relations if r.id not in rel1)
+    content = Hypernetwork(vertices, relations, c1.simplices + added)
     return View(base_digest=base, content=content)

@@ -29,20 +29,39 @@ ACCEPTANCE_SEED = 20260811
 def closure_oracle(h: Hypernetwork, roots) -> set[str]:
     """Naive fixpoint closure over Present participant references.
 
-    Independent of the library's traversal: repeatedly sweep every
-    hypersimplex until nothing new is added.
+    Independent of the library's traversal: repeatedly sweep the first
+    declaration of every hypersimplex id until nothing new is added. (A
+    later declaration of an id is never followed, as in ``walk``.)
     """
+    return walk_oracle(h, roots)[0]
+
+
+def walk_oracle(h: Hypernetwork, roots) -> tuple[set[str], list[int], set[str]]:
+    """What ``walk(h, roots)`` returns, by fixpoint sweeps, with the positions sorted.
+
+    The closure; the position of the first declaration of each closure name
+    that is a hypersimplex id, ascending; and the names that those
+    hypersimplices reference only as anti-vertices.
+    """
+    seen: set[str] = set()
+    first = []  # the position of each id's first declaration
+    for i, s in enumerate(h.simplices):
+        if s.id not in seen:
+            seen.add(s.id)
+            first.append(i)
     out = set(roots)
     changed = True
     while changed:
         changed = False
-        for s in h.simplices:
-            if s.id in out:
-                for p in s.participants:
+        for i in first:
+            if h.simplices[i].id in out:
+                for p in h.simplices[i].participants:
                     if not p.excluded and p.ref not in out:
                         out.add(p.ref)
                         changed = True
-    return out
+    reached = [i for i in first if h.simplices[i].id in out]
+    anti = {p.ref for i in reached for p in h.simplices[i].participants if p.excluded}
+    return out, reached, anti - out
 
 
 def _random_tags(rng: random.Random, required: Identifier | None = None):

@@ -11,6 +11,11 @@ operators and their scoped forms on seeded pairs; ``validate`` reports;
 the error class, message and span of hand-built invalid texts; ``repr``;
 and a pickle round trip. Every output is made independent of hash
 randomization before it is hashed.
+
+``PINNED`` is the digest they print, the one copy of it in the
+repository: ``tests/test_interpreters.py`` checks the running interpreter
+against it, and CI checks the installed package. A change that alters
+these outputs on purpose updates it and says so.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from hyperscope import (
     view_union,
     visible_set,
 )
+
+PINNED = "e2177180c6fce214a4644bd31614f302d72bf8328d487beeebac97cd3bfa7143"
 
 INVALID_TEXTS = [
     "vertex\n",

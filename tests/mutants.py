@@ -47,8 +47,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # Planted in the kernel, the scope layer and the validator.
     Mutant("walk-traverses-anti-vertices", "model.py",
-           "anti.add(p.ref)\n                elif p.ref not in closure:",
-           "anti.add(p.ref)\n                if p.ref not in closure:"),
+           "anti.add(p.ref)\n            elif p.ref not in closure:",
+           "anti.add(p.ref)\n            if p.ref not in closure:"),
     Mutant("merge-puts-new-tags-first", "ops.py",
            "_retagged(s, s.tags + added)", "_retagged(s, added + s.tags)"),
     Mutant("meet-keeps-right-tag-order", "ops.py",
@@ -72,23 +72,23 @@ MUTANTS = (
            "Hypernetwork(h.vertices + tuple(demoted), h.relations",
            "Hypernetwork(h.vertices, h.relations"),
     Mutant("split-fallback-drops-seeds", "ops.py",
-           "_assemble(h, kept, refs | seeds, refs - closure)",
+           "_assemble(h, kept, refs | closure, refs - closure)",
            "_assemble(h, kept, refs, refs - closure)"),
     Mutant("paired-ignores-kind-mismatch", "ops.py",
            "other = k2.get(name)", "other = None"),
     Mutant("require-declared-names-greatest", "model.py",
            "{min(missing)} {reason}", "{max(missing)} {reason}"),
     Mutant("view-union-keeps-demoted-vertices", "scope.py",
-           "tuple(v for v in v1.content.vertices if v not in sim_ids)",
-           "tuple(v for v in v1.content.vertices)"),
+           "vertices = tuple(filterfalse(sim_ids.__contains__, c1.vertices))",
+           "vertices = c1.vertices"),
     Mutant("difference-keeps-tagged", "ops.py",
            "[s for s in h1.simplices if s.id not in ids2]",
            "[s for s in h1.simplices if s.id not in ids2 or s.tags]"),
     Mutant("tag-index-lists-repeated-tag-twice", "model.py",
            "for t in dict.fromkeys(s.tags):", "for t in s.tags:"),
     Mutant("view-intersect-takes-right-vertex-order", "scope.py",
-           "in_v2 = set(v2.content.vertices)\n    vertices = [v for v in v1.content.vertices if v in in_v2]",
-           "in_v2 = set(v1.content.vertices)\n    vertices = [v for v in v2.content.vertices if v in in_v2]"),
+           "in_v2 = set(v2.content.vertices)\n    vertices = tuple(filter(in_v2.__contains__, v1.content.vertices))",
+           "in_v2 = set(v1.content.vertices)\n    vertices = tuple(filter(in_v2.__contains__, v2.content.vertices))"),
     # The retagging fast paths of merge and meet.
     Mutant("merge-always-adds-right-tags", "ops.py",
            "added = tuple(filterfalse(set(s.tags).__contains__, t.tags)) if s.tags else t.tags",
@@ -101,6 +101,17 @@ MUTANTS = (
            "set_tags(new, tags)", "set_tags(new, s.tags)"),
     Mutant("retagged-resets-kind", "model.py",
            "set_kind(new, s.kind)", "set_kind(new, Kind.ALPHA)"),
+    # The walk's stack of positions, split's names and view_intersect's order.
+    Mutant("walk-drops-root-at-position-zero", "model.py",
+           "for i in map(at.get, closure) if i is not None]", "for i in map(at.get, closure) if i]"),
+    Mutant("walk-drops-a-root", "model.py",
+           "for i in map(at.get, closure) if i is not None]", "for i in map(at.get, closure) if i is not None][1:]"),
+    Mutant("walk-does-not-stack-discovered-hypersimplex", "model.py",
+           "stack.append(j)", "reached.append(j)"),
+    Mutant("split-leaves-anti-out-of-names", "ops.py",
+           "    closure |= anti\n", ""),
+    Mutant("view-intersect-declares-missing-as-set", "scope.py",
+           "missing = dict.fromkeys([", "missing = set(["),
 )
 
 

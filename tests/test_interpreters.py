@@ -1,8 +1,9 @@
 """Every supported interpreter that can be found gives the same outputs.
 
-``interpreter_digest.py`` hashes a fixed set of outputs. This test runs it
-under the running interpreter and under each ``python3.10`` ... ``python3.13``
-that starts and reports its version, and compares the digests. A version
+``interpreter_digest.py`` hashes a fixed set of outputs. These tests run it
+under the running interpreter, whose digest must be the pinned one, and
+under each ``python3.10`` ... ``python3.13`` that starts and reports its
+version, and compare the digests. A version
 is looked for on ``PATH`` first, then among pyenv's installs
 (``$PYENV_ROOT/versions/3.X.*/bin``), since a pyenv shim on ``PATH`` starts
 only when ``PYENV_VERSION`` names an install of that version.
@@ -19,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from interpreter_digest import PINNED
 
 SCRIPT = Path(__file__).with_name("interpreter_digest.py")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,6 +55,10 @@ def _interpreter(version: str) -> str | None:
                 and probe.stdout != f"{version}\n{sys.version}\n":
             return python
     return None
+
+
+def test_running_interpreter_gives_the_pinned_digest():
+    assert _digest(sys.executable) == ["%d.%d" % sys.version_info[:2], PINNED]
 
 
 @pytest.mark.parametrize("version", VERSIONS)

@@ -23,7 +23,18 @@ from hyperscope import (
     structural_digest,
 )
 
-from gen import closure_oracle, random_hypernetwork
+from gen import (
+    acceptance_corpus,
+    closure_oracle,
+    fixtures,
+    invalid_values,
+    kind_mutants,
+    net,
+    random_hypernetwork,
+    sim,
+    walk_oracle,
+)
+from hyperscope.model import walk
 
 BICYCLE_CLOSURE = {
     "bicycle", "frame", "drive", "balance", "rear-wheel", "chain", "pedals", "gears",
@@ -211,6 +222,20 @@ class TestDescendants:
         with pytest.raises(UnresolvedIdentifierError, match=r"^not an identifier "):
             call(bicycle, ["frame", "not an identifier"])
 
+    # A bare str iterates as its characters, so "ab" would name "a" and "b".
+    @pytest.mark.parametrize("call", [
+        descendants,
+        prune,
+        split,
+        lambda h, names: scoped_prune(h, names, "t"),
+        lambda h, names: scoped_split(h, names, "t"),
+    ], ids=["descendants", "prune", "split", "scoped_prune", "scoped_split"])
+    def test_a_bare_str_is_not_a_collection_of_names(self, call):
+        h = net(("a", "b"), simplices=(sim("ab", "a", "t"), sim("s", "b", "t")))
+        with pytest.raises(TypeError, match=r"^expected a collection of names, not the str 'ab'$"):
+            call(h, "ab")
+        call(h, ("ab",))  # the one name, as a collection, resolves
+
     def test_excluded_refs_not_traversed(self):
         h = Hypernetwork(
             vertices=(Identifier("a"), Identifier("b")),
@@ -239,6 +264,54 @@ class TestDescendants:
                 continue
             roots = {rng.choice(h.simplices).id}
             assert descendants(h, roots) == closure_oracle(h, roots)
+
+
+class TestWalk:
+    """``walk``'s closure, reached positions and anti-only names against ``gen.walk_oracle``."""
+
+    # Shapes the corpus never builds: a self-reference, a cycle through a
+    # forward reference, a name reached only through ``!x``, and a vertex
+    # that is also the id of a hypersimplex declared twice.
+    ODD = (
+        net(simplices=(sim("s", "s"),)),
+        net(simplices=(sim("x", "y"), sim("y", "x"), sim("z", "y"))),
+        net(("a", "b"), simplices=(sim("s", "a"), sim("t", "b", excluded=True), sim("u", "t"))),
+        net(("a", "s"), simplices=(sim("s", "a"), sim("t", "s", excluded=True), sim("s", "t"))),
+    )
+
+    @staticmethod
+    def _root_sets(h, rng):
+        names = sorted({*h.vertices, *(s.id for s in h.simplices)})
+        yield from ({n} for n in names)
+        yield set(names)
+        for _ in range(3):
+            yield set(rng.sample(names, rng.randint(0, len(names))))
+
+    def _differences(self, values):
+        rng = random.Random(23)
+        out = []
+        for k, h in enumerate(values):
+            for roots in self._root_sets(h, rng):
+                closure, reached, anti = walk(h, tuple(roots))
+                got = (closure, sorted(reached), anti)
+                if got != walk_oracle(h, roots):
+                    out.append((k, sorted(roots)))
+        return out
+
+    def test_the_corpus_and_the_fixtures(self):
+        assert self._differences(acceptance_corpus() + fixtures()) == []
+
+    def test_invalid_values_kind_mutants_and_odd_shapes(self):
+        values = [*invalid_values(), *self.ODD, *(m for h in acceptance_corpus()[:200] for m in kind_mutants(h))]
+        assert self._differences(values) == []
+
+    def test_the_odd_shapes_reach_what_they_should(self):
+        self_ref, cycle, anti_only, twice = self.ODD
+        assert walk_oracle(self_ref, {"s"}) == ({"s"}, [0], set())
+        assert walk_oracle(cycle, {"z"}) == ({"x", "y", "z"}, [0, 1, 2], set())
+        assert walk_oracle(anti_only, {"u"}) == ({"u", "t"}, [1, 2], {"b"})
+        # Only the first declaration of "s" is followed, so "t" stays unreached.
+        assert walk_oracle(twice, {"s"}) == ({"s", "a"}, [0], set())
 
 
 class TestDigest:

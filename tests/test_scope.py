@@ -327,12 +327,15 @@ class TestViewAlgebra:
         assert (pairs, with_extra) == (12_793, 2_580)
 
     def test_intersection_declares_excluded_names_in_first_reference_order(self):
+        # Six names, so a set's order matches theirs by chance once in 720.
+        names = ("x", "q", "d", "y", "m", "k")
         h = parse(
-            "vertex v\nrelation R(r1)\nrelation P(r1, r2)\n"
-            "x = < v ; R ; a >\ny = < v ; R ; b >\nt = < !x, !y ; P ; a, b >\n"
+            "vertex v\nrelation R(r1)\nrelation P(r1, r2, r3, r4, r5, r6)\n"
+            + "".join(f"{n} = < v ; R ; {'ab'[i % 2]} >\n" for i, n in enumerate(names))
+            + "t = < " + ", ".join("!" + n for n in names) + " ; P ; a, b >\n"
         )
         inter = view_intersect(project(h, "a"), project(h, "b")).content
-        assert inter.vertices == ("v", "x", "y")
+        assert inter.vertices == ("v", *names)
         assert [str(s.id) for s in inter.simplices] == ["t"]
         assert validate(inter).ok
 
