@@ -8,14 +8,21 @@ existing one, so any value can be shared freely across threads.
 A ``Hypernetwork`` also carries derived data that depends on its value
 alone: its structural digest, its tag index, and a map from each
 hypersimplex id to the position of its first declaration. Each is computed
-lazily on first use and cached on the instance, outside the fields that
-equality, hashing and ``repr`` read. Computing one twice (say, from two
-threads at once) gives equal results, so the cache never makes a value
-unsafe to share. Code that only checks a few names reads the id map when the
-value already holds it, and otherwise scans the ids once, so a short-lived
-value does not keep a map it used once. A name's kind is the kind of its
-first declaration: ``validate`` and the kind check of ``merge`` and ``meet``
-share that one rule, :func:`declaration_kinds`, which is not cached.
+lazily and cached on the instance, outside the fields that equality,
+hashing and ``repr`` read. Computing one twice (say, from two threads at
+once) gives equal results, so the cache never makes a value unsafe to
+share. The digest and the tag index are cached on first use. The id map is
+cached only by the reads a value meets again: ``validate`` (and so
+``parse``), the boundary reads ``project`` and ``visible_set``, and
+:meth:`Hypernetwork.simplex`. Every other reader, each operator included,
+takes :func:`_id_map`'s: the cached map when the value holds one, and
+otherwise a map built for that call alone. So the results of an operator
+chain, each read once by the next operator, keep no map; the price is that
+splitting one such result many times builds its map each time. Code that
+only checks a few names builds no map at all and scans the ids once. A
+name's kind is the kind of its first declaration: ``validate`` and the kind
+check of ``merge`` and ``meet`` share that one rule,
+:func:`declaration_kinds`, which is not cached.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -31,16 +38,19 @@ fields as they are: ``__init__`` has converted and checked them already.
 
 Constructors check only the local shape of a value: ``Identifier`` the
 identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
-non-empty participant tuple. Names inside a value and every rule that needs
-the whole network (unique identity, resolution, arity, acyclic containment)
-are left to :func:`hyperscope.axioms.validate`, which reports defects as data
-(a malformed name under A1 or A5); ``parse`` applies it eagerly.
+non-empty participant tuple. A bare ``str`` given for tags, roles or
+vertices, which would be read as its characters, raises ``TypeError``; a
+tag tuple, as the parser and the operators pass, is taken as it is. Names
+inside a value and every rule that needs the whole network (unique
+identity, resolution, arity, acyclic containment) are left to
+:func:`hyperscope.axioms.validate`, which reports defects as data (a
+malformed name under A1 or A5); ``parse`` applies it eagerly.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -140,7 +150,7 @@ class RelationSymbol:
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", tuple(self.roles))
+        object.__setattr__(self, "roles", _names(self.roles, tuple))
         if len(self.roles) < 1:
             raise ValueError(f"relation {self.id} must declare at least one role")
         if len(set(self.roles)) != len(self.roles):
@@ -172,7 +182,8 @@ class Hypersimplex:
     def __init__(self, id: Identifier, participants: Iterable[Participant], relation: Identifier,
                  kind: Kind = Kind.ALPHA, tags: Iterable[Identifier] = ()) -> None:
         participants = tuple(participants)
-        tags = tuple(tags)
+        if tags.__class__ is not tuple:  # the parser and the operators pass a tuple
+            tags = _names(tags, tuple)
         if not participants:
             raise ValueError(f"hypersimplex {id} must bind at least one participant")
         set_id, set_participants, set_relation, set_kind, set_tags = _HYPERSIMPLEX_SLOTS
@@ -192,7 +203,7 @@ class Hypersimplex:
         )
 
     def with_tags(self, tags: Iterable[str]) -> "Hypersimplex":
-        return replace(self, tags=tuple(Identifier(t) for t in tags))
+        return replace(self, tags=tuple(map(Identifier, _names(tags, iter))))
 
     def untagged(self) -> "Hypersimplex":
         return replace(self, tags=())
@@ -227,7 +238,7 @@ class Hypernetwork:
     simplices: tuple[Hypersimplex, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "vertices", _names(self.vertices, tuple))
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "simplices", tuple(self.simplices))
 
@@ -278,14 +289,8 @@ class Hypernetwork:
 
     @cached_property
     def _at(self) -> dict[Identifier, int]:
-        """Id -> position in ``simplices`` of its first declaration, in declaration order.
-
-        Fewer entries than ``simplices`` means some id is declared twice.
-        """
-        at: dict[Identifier, int] = {}
-        for i, s in enumerate(self.simplices):
-            at.setdefault(s.id, i)
-        return at
+        """The map :func:`_id_map` builds, kept on the value."""
+        return _id_map(self)
 
 
 @dataclass(frozen=True)
@@ -321,25 +326,43 @@ def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
     return kinds
 
 
-def _names(names: Iterable[str]) -> set[str]:
-    """``set(names)``; a bare ``str``, which would be its characters, raises TypeError."""
+def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] = set) -> Iterable[str]:
+    """``into(names)``; a bare ``str``, which would be its characters, raises TypeError."""
     if isinstance(names, str):
         raise TypeError(f"expected a collection of names, not the str {names!r}")
-    return set(names)
+    return into(names)
+
+
+def _id_map(h: Hypernetwork) -> dict[Identifier, int]:
+    """Id -> position in ``h.simplices`` of its first declaration, in declaration order.
+
+    Fewer entries than ``h.simplices`` means some id is declared twice.
+    Returns ``h._at`` when ``h`` already holds it; otherwise the map is
+    built for the caller alone and is not kept on ``h``.
+    """
+    at = vars(h).get("_at")
+    if at is None:
+        at = {}
+        for i, s in enumerate(h.simplices):
+            at.setdefault(s.id, i)
+    return at
 
 
 def require_declared(h: Hypernetwork, names: Iterable[str],
-                     reason: str = "does not resolve to a vertex or hypersimplex") -> None:
+                     reason: str = "does not resolve to a vertex or hypersimplex",
+                     at: dict[Identifier, int] | None = None) -> None:
     """Raise UnresolvedIdentifierError for the least of ``names`` that ``h`` lacks.
 
     Names resolve against vertices plus hypersimplex ids; relation names and
     tags live in separate spaces. The least name, not the first, is reported,
     so the error does not depend on the iteration order of ``names``.
 
-    Reads ``h``'s id map only when ``h`` already holds it; otherwise one
-    pass over ``h.simplices`` reads their ids, and no map is built.
+    Looks the names up in ``at``, an id map of ``h`` that the caller holds,
+    else in ``h``'s cached map when ``h`` holds it; otherwise one pass over
+    ``h.simplices`` reads their ids, and no map is built.
     """
-    at = vars(h).get("_at")
+    if at is None:
+        at = vars(h).get("_at")
     if at is None:
         missing = set(names).difference(map(_ID, h.simplices))
     else:
@@ -366,8 +389,14 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     return walk(h, roots)[0]
 
 
-def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[int], set[Identifier]]:
+def walk(h: Hypernetwork, roots: Iterable[str], at: dict[Identifier, int] | None = None,
+         ) -> tuple[set[Identifier], list[int], set[Identifier]]:
     """The downward closure of ``roots``, with what ``split`` builds its result from.
+
+    ``at`` is ``h``'s id map. The boundary reads pass ``h._at``, which they
+    keep on the backcloth, and ``split`` the map it shares with its other
+    steps. Without one the walk takes :func:`_id_map`'s, so a value walked
+    once keeps no map.
 
     Returns the closure (see :func:`descendants`), the positions in
     ``h.simplices`` of the hypersimplices it reached (one per closure name
@@ -377,8 +406,10 @@ def walk(h: Hypernetwork, roots: Iterable[str]) -> tuple[set[Identifier], list[i
     as it enters the closure, and a vertex is never stacked.
     """
     closure = _names(roots)
-    at, sims = h._at, h.simplices  # first: every name reached is looked up, the roots too
-    require_declared(h, closure)
+    if at is None:
+        at = _id_map(h)
+    sims = h.simplices
+    require_declared(h, closure, at=at)
     stack = [i for i in map(at.get, closure) if i is not None]
     reached: list[int] = []
     anti: set[Identifier] = set()

@@ -15,7 +15,9 @@ place, still resolves and arity is preserved.
 
 Hypersimplices an operator does not change are shared with its result, not
 copied: values are frozen, so the result may hold the input's own objects.
-A changed one is rebuilt only for its new tags or slots.
+A changed one is rebuilt only for its new tags or slots. Ids are looked up
+through ``model._id_map``: an input's cached map when it holds one, else a
+map built for the call, so neither the inputs nor the result keep one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     Hypersimplex,
     Participant,
     _ID,
+    _id_map,
     _names,
     _retagged,
     declaration_kinds,
@@ -37,23 +40,30 @@ from .model import (
 )
 
 
-def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose: set[str]) -> Hypernetwork:
+def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose: set[str],
+              at: dict[str, int] | None = None) -> Hypernetwork:
     """Self-contained hypernetwork over ``sims``, declarations drawn from ``h`` in its order.
 
     Keeps the vertices of ``h`` that ``names`` holds and the relations that
     ``sims`` bind. ``loose`` holds the names that may point at a hypersimplex
     of ``h`` not among ``sims``; each such hypersimplex that is not a kept
     vertex is demoted to a vertex declaration, so every reference resolves.
-    They are found through ``h._at`` when ``h`` already holds it, and
-    otherwise, or when ``h`` declares an id twice, by one pass over the ids
-    of ``h.simplices``.
+    They are found through ``at``, an id map of ``h`` in which no id is
+    declared twice (``split`` passes the one it built for its walk), else
+    through ``h._at`` when ``h`` already holds it and declares no id twice,
+    and otherwise by one pass over the ids of ``h.simplices``; no map is
+    built here.
     """
     vertices = tuple(filter(names.__contains__, h.vertices))
     loose.difference_update(vertices)  # in place: every caller builds ``loose`` for this call
-    all_sims, at = h.simplices, vars(h).get("_at")
+    all_sims = h.simplices
+    if at is None:
+        at = vars(h).get("_at")
+        if at is not None and len(at) < len(all_sims):  # an id declared twice: demote each declaration
+            at = None
     if not loose:
         demoted = ()
-    elif at is None or len(at) < len(all_sims):  # no map, or an id declared twice
+    elif at is None:
         demoted = tuple(filter(loose.__contains__, map(_ID, all_sims)))
     else:
         demoted = tuple(all_sims[i].id for i in sorted(at[x] for x in loose if x in at))
@@ -93,10 +103,10 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     Kinds are compared, in ``h1``'s declaration order, only when the
     namespaces of the two inputs meet (see :func:`_apart`).
 
-    Pairs through ``h2``'s cached id -> position map. When ``h2`` declares
-    an id twice, the last declaration is the one compared and yielded.
+    Pairs through ``h2``'s id -> position map. When ``h2`` declares an id
+    twice, the last declaration is the one compared and yielded.
     """
-    sims2, at2 = h2.simplices, h2._at
+    sims2, at2 = h2.simplices, _id_map(h2)
     rel2 = {r.id: r for r in h2.relations}
     if not _apart(h1, h2, at2, rel2):
         k2 = declaration_kinds(h2)
@@ -138,7 +148,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
             if added:
                 s = _retagged(s, s.tags + added)  # ``() + added`` is ``added`` itself
         out.append(s)
-    ids1 = h1._at
+    ids1 = _id_map(h1)
     out += [t for t in h2.simplices if t.id not in ids1]
     return Hypernetwork(vertices, relations, tuple(out))
 
@@ -169,7 +179,7 @@ def difference(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     Tags and order come from ``h1``; declarations are restricted to what
     the surviving content references.
     """
-    ids2 = h2._at
+    ids2 = _id_map(h2)
     survivors = [s for s in h1.simplices if s.id not in ids2]
     refs = {p.ref for s in survivors for p in s.participants}
     return _assemble(h1, survivors, refs, refs.difference(map(_ID, survivors)))
@@ -213,10 +223,19 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     lists: ``_assemble`` gets the hypersimplices at the positions the walk
     reached, sorted, and the closure with the anti-vertices added in place.
     ``h.simplices`` is scanned only when an id is declared twice.
+
+    The walk, the duplicate-id check and ``_assemble`` share one id map:
+    ``h._at`` when ``h`` holds it, else one built for this call and not
+    kept, so splitting one operator result many times builds it each time.
     """
-    closure, reached, anti = walk(h, c)
+    return _split(h, c, _id_map(h))
+
+
+def _split(h: Hypernetwork, c: Iterable[str], at: dict[str, int]) -> Hypernetwork:
+    """``split(h, c)`` through ``at``, the id map of ``h`` (see :func:`~hyperscope.model.walk`)."""
+    closure, reached, anti = walk(h, c, at)
     sims = h.simplices
-    if len(h._at) < len(sims):  # an id declared twice: the walk reached only its first declaration
+    if len(at) < len(sims):  # an id declared twice: the walk reached only its first declaration
         kept = [s for s in sims if s.id in closure]
         refs = {p.ref for s in kept for p in s.participants}
         return _assemble(h, kept, refs | closure, refs - closure)
@@ -224,7 +243,7 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     # Only an anti-vertex can name a hypersimplex the walk did not reach.
     reached.sort()
     closure |= anti
-    return _assemble(h, [sims[i] for i in reached], closure, anti)
+    return _assemble(h, [sims[i] for i in reached], closure, anti, at)
 
 
 # The binary operators by name, for the scoped layer and the CLI.

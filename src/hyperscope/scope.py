@@ -24,11 +24,11 @@ from .model import (
     View,
     _names,
     _sha256,
-    descendants,
     require_declared,
     structural_digest,
+    walk,
 )
-from .ops import BINARY, _bound_relations, prune, split
+from .ops import BINARY, _bound_relations, _split, prune, split
 
 
 def _tagged(h: Hypernetwork, b: str) -> tuple[Identifier, ...]:
@@ -41,9 +41,10 @@ def visible_set(h: Hypernetwork, b: str) -> set[Identifier]:
 
     The downward closure of every hypersimplex carrying ``b``. Visibility
     never travels laterally or upward, and never through an anti-vertex.
-    An unknown tag yields the empty set.
+    An unknown tag yields the empty set. Keeps ``h``'s id map on ``h``,
+    since a backcloth is read under many boundaries.
     """
-    return descendants(h, _tagged(h, b))
+    return walk(h, _tagged(h, b), h._at)[0]
 
 
 def project(h: Hypernetwork, b: str) -> View:
@@ -55,8 +56,9 @@ def project(h: Hypernetwork, b: str) -> View:
     referenced only through anti-vertices are retained so the exclusion
     still resolves). ``h`` is never modified, and a tag that no
     hypersimplex carries, malformed or not, projects to the empty view.
+    Keeps ``h``'s id map on ``h``, as :func:`visible_set` does.
     """
-    return View(base_digest=structural_digest(h), content=split(h, _tagged(h, b)), boundary=b)
+    return View(base_digest=structural_digest(h), content=_split(h, _tagged(h, b), h._at), boundary=b)
 
 
 def scoped_apply(op: str, h1: Hypernetwork, h2: Hypernetwork, b: str) -> View:

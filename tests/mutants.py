@@ -112,6 +112,62 @@ MUTANTS = (
            "    closure |= anti\n", ""),
     Mutant("view-intersect-declares-missing-as-set", "scope.py",
            "missing = dict.fromkeys([", "missing = set(["),
+    # The id maps: kept by the boundary reads, built per call by the operators.
+    Mutant("split-duplicate-check-reads-simplices-length", "ops.py",
+           "if len(at) < len(sims):", "if len(h.simplices) < len(sims):"),
+    Mutant("split-passes-its-map-when-an-id-is-declared-twice", "ops.py",
+           "_assemble(h, kept, refs | closure, refs - closure)",
+           "_assemble(h, kept, refs | closure, refs - closure, at)"),
+    Mutant("assemble-trusts-a-cached-map-with-a-repeated-id", "ops.py",
+           "if at is not None and len(at) < len(all_sims):", "if at is not None and len(at) < 0:"),
+    Mutant("split-keeps-the-map", "ops.py",
+           "return _split(h, c, _id_map(h))", "return _split(h, c, h._at)"),
+    Mutant("merge-keeps-the-left-map", "ops.py",
+           "ids1 = _id_map(h1)", "ids1 = h1._at"),
+    Mutant("paired-keeps-the-right-map", "ops.py",
+           "sims2, at2 = h2.simplices, _id_map(h2)", "sims2, at2 = h2.simplices, h2._at"),
+    Mutant("project-builds-a-per-call-map", "scope.py",
+           "content=_split(h, _tagged(h, b), h._at)", "content=split(h, _tagged(h, b))"),
+    Mutant("visible-set-builds-a-per-call-map", "scope.py",
+           "walk(h, _tagged(h, b), h._at)[0]", "walk(h, _tagged(h, b))[0]"),
+    # The text format: spacing, the byte order mark, blocks and spans.
+    Mutant("serialize-drops-the-space-after-tag-commas", "text.py",
+           "f\" ; {', '.join(s.tags)}\"", "f\" ; {','.join(s.tags)}\""),
+    Mutant("serialize-drops-the-space-before-the-close", "text.py",
+           "{s.relation}{tags} > :", "{s.relation}{tags}> :"),
+    Mutant("parse-keeps-the-byte-order-mark", "text.py",
+           'start = int(text.startswith("\\ufeff"))', "start = 0"),
+    Mutant("blocks-repeat-the-newline", "text.py",
+           "        start = end + 1\n", "        start = end\n"),
+    Mutant("blocks-drop-the-last-character", "text.py",
+           'yield text[start:end].split("\\n")', 'yield text[start:end - 1].split("\\n")'),
+    Mutant("name-span-column-from-zero", "text.py",
+           "SourceSpan(lineno, m.start(1) + 1)", "SourceSpan(lineno, m.start(1))"),
+    Mutant("token-span-column-from-zero", "text.py",
+           "SourceSpan(self.lineno, tok.start() + 1)", "SourceSpan(self.lineno, tok.start())"),
+    Mutant("duplicate-points-at-the-first-declaration", "text.py",
+           "DuplicateIdentifierError(violation.message, at[1])",
+           "DuplicateIdentifierError(violation.message, at[0])"),
+    # The validator: report order, A1 against A2, and the per-simplex checks.
+    Mutant("report-sorts-by-axiom-first", "axioms.py",
+           "key=lambda v: (order[v.subject], v.axiom)", "key=lambda v: (v.axiom, order[v.subject])"),
+    Mutant("unresolved-anti-vertex-reads-as-a1", "axioms.py",
+           "            elif kinds.get(p.ref) != \"vertex\":\n                if p.excluded:",
+           "            elif kinds.get(p.ref) != \"vertex\":\n                if not p.excluded:"),
+    Mutant("participant-may-name-a-relation", "axioms.py",
+           'elif kinds.get(p.ref) != "vertex":', "elif p.ref not in kinds:"),
+    Mutant("repeated-tag-skips-the-tag-check", "axioms.py",
+           "if tags_ok and (len(tags) < 2 or len(set(tags)) == len(tags)):", "if tags_ok:"),
+    Mutant("arity-accepts-extra-participants", "axioms.py",
+           "elif len(s.participants) != rel.arity:", "elif len(s.participants) < rel.arity:"),
+    # The scope layer: its messages and the view comparisons.
+    Mutant("scoped-names-report-the-unscoped-reason", "scope.py",
+           'require_declared(base.content, names, f"is not visible under boundary {b}")',
+           "require_declared(base.content, names)"),
+    Mutant("view-union-forgets-added-ids", "scope.py",
+           "    sim_ids.update([s.id for s in added])\n", ""),
+    Mutant("views-of-different-backcloths-compare", "scope.py",
+           "if v1.base_digest != v2.base_digest:", "if v1.base_digest is None:"),
 )
 
 

@@ -53,6 +53,27 @@ def test_arity_mismatch_is_a4():
     assert [(v.axiom, v.subject) for v in report.violations] == [("A4", "fireUnit")]
 
 
+def test_extra_participants_are_a4_too():
+    h = Hypernetwork(
+        vertices=(Identifier("a"), Identifier("b")),
+        relations=(_r("R", "r1"),),
+        simplices=(_sx("x", ["a", "b"], "R"),),
+    )
+    assert [v.render() for v in validate(h).violations] == [
+        "A4\tx\tbinds 2 participants to R which has arity 1"]
+
+
+# Relation names live in their own namespace: a slot naming one resolves to nothing.
+def test_a_participant_naming_a_relation_does_not_resolve():
+    h = Hypernetwork(
+        vertices=(Identifier("a"),),
+        relations=(_r("R", "r1", "r2"),),
+        simplices=(_sx("x", ["a", "R"], "R"), _sx("y", ["a", "!R"], "R")),
+    )
+    assert [v.render() for v in validate(h).violations] == [
+        "A1\tx\tparticipant R does not resolve", "A2\ty\tanti-vertex R does not resolve"]
+
+
 def test_unresolved_participant_is_a1():
     h = Hypernetwork(
         vertices=(),

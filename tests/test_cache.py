@@ -2,9 +2,11 @@
 
 Each cache is checked against a fresh computation or against the linear
 scan it replaced, kept here as the slow reference, and shown to leave the
-value's equality, hashing, ``repr`` and fields untouched. Checks of a few
-names read the id map only when the value already holds it; they are shown
-to give the same result, or the same error, either way.
+value's equality, hashing, ``repr`` and fields untouched. Only ``parse``,
+``validate``, the boundary reads and ``simplex`` keep the id map on a
+value; every operator, scoped form and view operation reads the map when
+its input already holds it and otherwise builds one for the call. Each is
+shown to give the same result, or the same error, either way.
 """
 
 from __future__ import annotations
@@ -20,27 +22,33 @@ import hyperscope.scope
 import hyperscope.text
 from hyperscope import (
     Hypernetwork,
+    HypernetworkError,
     Hypersimplex,
     Identifier,
     Participant,
     RelationSymbol,
     UnresolvedIdentifierError,
     View,
+    descendants,
     difference,
     load_fixture,
     meet,
     parse,
     project,
     prune,
+    scoped_apply,
     scoped_prune,
     scoped_split,
     serialize,
     split,
     structural_digest,
     validate,
+    view_intersect,
+    view_union,
     visible_set,
 )
 from hyperscope.model import require_declared
+from hyperscope.ops import BINARY
 from hyperscope.scope import _tagged
 
 from gen import acceptance_corpus
@@ -344,4 +352,81 @@ class TestOneShotChecks:
             assert typed(out) == typed(REFERENCE[op.__name__](bicycle, other))
         h = fresh(bicycle)
         split(h, ["cyclist"])
-        assert "_at" in vars(h)
+        assert "_at" not in vars(h)
+
+
+# -- the id map is kept only where a value is read again ---------------------
+
+SCOPED = (scoped_apply, scoped_prune, scoped_split)
+
+
+def _id_map_cases(h: Hypernetwork):
+    """``(fn, args)`` for each operator, scoped form and view operation on ``h``.
+
+    Right operands are ``h`` and a split of it; names are an id, the last
+    two ids with a vertex, and an unknown name; boundaries are two tags of
+    ``h`` and an unknown one.
+    """
+    ids = [s.id for s in h.simplices]
+    groups = [g for g in (ids[:1], [*ids[-2:], *h.vertices[:1]]) if g] + [["ghost"]]
+    tags = [*h.tag_universe()[:2], "unknown"]
+    for k in (h, split(h, ids[:2])):
+        for op, fn in BINARY.items():
+            yield fn, (h, k)
+            for b in tags:
+                yield scoped_apply, (op, h, k, b)
+    for g in groups:
+        for fn in (prune, split, descendants):
+            yield fn, (h, g)
+        for b in tags:
+            yield scoped_prune, (h, g, b)
+            yield scoped_split, (h, g, b)
+    views = [project(h, b) for b in tags]
+    for v1 in views:
+        for v2 in views:
+            yield view_intersect, (v1, v2)
+            yield view_union, (v1, v2)
+
+
+def _run(fn, args: tuple, prep) -> tuple[list[Hypernetwork], object]:
+    """The input values ``prep`` made of ``args``, and ``fn``'s typed result or error."""
+    args = tuple(dataclasses.replace(a, content=prep(a.content)) if isinstance(a, View)
+                 else prep(a) if isinstance(a, Hypernetwork) else a for a in args)
+    inputs = [getattr(a, "content", a) for a in args if isinstance(a, (Hypernetwork, View))]
+    try:
+        out = fn(*args)
+    except HypernetworkError as exc:
+        return inputs, (type(exc), str(exc))
+    if isinstance(out, (Hypernetwork, View)):
+        content = getattr(out, "content", out)
+        assert "_at" not in vars(content), fn.__name__  # a result keeps no map
+        out = (out.base_digest, out.boundary, typed(content)) if isinstance(out, View) else typed(out)
+    return inputs, out
+
+
+class TestIdMapRule:
+    def values(self):
+        return [*(load_fixture(k) for k in ("E1", "E2", "E3")), *_invalid_values(),
+                *acceptance_corpus()[:40]]
+
+    def test_operators_keep_no_map_and_agree_with_and_without_one(self):
+        for h in self.values():
+            for fn, args in _id_map_cases(h):
+                inputs, got = _run(fn, args, fresh)
+                assert got == _run(fn, args, _mapped)[1], (fn.__name__, h, args)
+                if fn.__name__ in REFERENCE:
+                    want = _run(REFERENCE[fn.__name__], args, fresh)[1]
+                    assert got == want, (fn.__name__, h, args)
+                # A scoped form projects its backcloths, and a projection keeps their maps.
+                assert [("_at" in vars(x)) for x in inputs] == [fn in SCOPED] * len(inputs), fn.__name__
+
+    def test_parse_validate_the_boundary_reads_and_simplex_keep_the_map(self):
+        for h in self.values():
+            b = (*h.tag_universe(), "unknown")[0]
+            for read in (validate, lambda x: project(x, b), lambda x: visible_set(x, b),
+                         lambda x: x.simplex("ghost")):
+                cold = fresh(h)
+                read(cold)
+                assert "_at" in vars(cold)
+        for key in ("E1", "E2", "E3"):
+            assert "_at" in vars(parse(serialize(load_fixture(key))))

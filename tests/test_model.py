@@ -81,6 +81,18 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Hypersimplex(Identifier("x"), (), Identifier("R"))
 
+    # A bare str iterates as its characters, so "ab" would name "a" and "b".
+    @pytest.mark.parametrize("build, field", [
+        (lambda names: Hypersimplex("x", (Participant("a"),), "R", tags=names), "tags"),
+        (lambda names: Hypersimplex("x", (Participant("a"),), "R").with_tags(names), "tags"),
+        (lambda names: RelationSymbol("R", names), "roles"),
+        (lambda names: Hypernetwork(vertices=names), "vertices"),
+    ], ids=["tags", "with_tags", "roles", "vertices"])
+    def test_a_bare_str_is_not_a_collection_of_names(self, build, field):
+        with pytest.raises(TypeError, match=r"^expected a collection of names, not the str 'ab'$"):
+            build("ab")
+        assert getattr(build(["ab"]), field) == ("ab",)  # the one name, as a collection
+
 
 class TestValueContract:
     """What ``repr``, equality, hashes and pickles of the slotted values read.
