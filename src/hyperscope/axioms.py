@@ -19,14 +19,7 @@ Checked per axiom:
   any declaration.
 * WELLFORMED: containment (Present references between hypersimplices) is
   acyclic, so downward closure is well-founded. Each cyclic component is
-  reported once, with one cycle through it as its witness. The cycle
-  search runs only when some Present reference names a hypersimplex
-  declared at or after the one that refers to it; without one, declaration
-  order is a topological order and there is no cycle to find.
-
-Names and tags are checked against the identifier alphabet in one regex
-match each over all of them joined; only when that fails is each one
-checked alone, to name the bad ones.
+  reported once, with one cycle through it as its witness.
 """
 
 from __future__ import annotations
@@ -139,7 +132,7 @@ def validate(h: Hypernetwork) -> ValidationReport:
     Pure and deterministic: the report is ordered by the declaration order
     of the subject, then by axiom code.
     """
-    kinds = declaration_kinds(h)  # not h._kinds: ``parse`` leaves that cache unfilled
+    kinds = declaration_kinds(h)
     violations = [] if _all_identifiers(kinds) else [
         Violation("A1", name, f"{name!r} is not a well-formed identifier")
         for name in kinds if not is_identifier(name)

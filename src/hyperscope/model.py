@@ -6,23 +6,23 @@ elsewhere in the package always return new hypernetworks and never mutate an
 existing one, so any value can be shared freely across threads.
 
 A ``Hypernetwork`` also carries derived data that depends on its value
-alone: its structural digest, its tag index, and a map from each
-hypersimplex id to the position of its first declaration. Each is computed
-lazily and cached on the instance, outside the fields that equality,
-hashing and ``repr`` read. Computing one twice (say, from two threads at
-once) gives equal results, so the cache never makes a value unsafe to
-share. The digest and the tag index are cached on first use. The id map is
-cached only by the reads a value meets again: ``validate`` (and so
-``parse``), the boundary reads ``project`` and ``visible_set``, and
-:meth:`Hypernetwork.simplex`. Every other reader, each operator included,
-takes :func:`_id_map`'s: the cached map when the value holds one, and
-otherwise a map built for that call alone. So the results of an operator
-chain, each read once by the next operator, keep no map; the price is that
-splitting one such result many times builds its map each time. Code that
-only checks a few names builds no map at all and scans the ids once. A
-name's kind is the kind of its first declaration: ``validate`` and the kind
-check of ``merge`` and ``meet`` share that one rule,
-:func:`declaration_kinds`, which is not cached.
+alone: its structural digest, its tag index, and its id map (each
+hypersimplex id to the position of its first declaration). Each is
+computed lazily and cached on the instance, outside the fields that
+equality, hashing and ``repr`` read. Computing one twice (say, from two
+threads at once) gives equal results, so the cache never makes a value
+unsafe to share.
+
+The digest and the tag index are cached on first use. The id map is
+cached (``Hypernetwork._at``) only by the reads a value meets again:
+``validate`` (and so ``parse``), the boundary reads ``project`` and
+``visible_set``, and :meth:`Hypernetwork.simplex`. Every other reader,
+each operator included, takes :func:`_id_map`'s: the cached map when the
+value holds one, and otherwise a map built for that call alone. So the
+results of an operator chain, each read once by the next operator, keep no
+map; the price is that splitting one such result many times builds its map
+each time. :func:`require_declared`, which checks a few names, builds no
+map at all and scans the ids once.
 
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
@@ -32,18 +32,14 @@ The parser and the operators build and compare them per element, so the
 constructors of ``Participant`` and ``Hypersimplex`` and ``Participant``'s
 ``__eq__`` are hand-written, with the signature, errors and semantics of the
 generated ones; ``dataclasses`` keeps that ``__eq__`` and generates
-``Participant``'s ``__hash__`` from the two fields. ``merge`` and ``meet``
-retag a hypersimplex with the private ``_retagged``, which writes its other
-fields as they are: ``__init__`` has converted and checked them already.
+``Participant``'s ``__hash__`` from the two fields.
 
 Constructors check only the local shape of a value: ``Identifier`` the
 identifier alphabet, ``RelationSymbol`` its role names, ``Hypersimplex`` a
-non-empty participant tuple. A bare ``str`` given for tags, roles or
-vertices, which would be read as its characters, raises ``TypeError``; a
-tag tuple, as the parser and the operators pass, is taken as it is. Names
-inside a value and every rule that needs the whole network (unique
-identity, resolution, arity, acyclic containment) are left to
-:func:`hyperscope.axioms.validate`, which reports defects as data (a
+non-empty participant tuple, and each collection of names is read through
+:func:`_names`. Names inside a value and every rule that needs the whole
+network (unique identity, resolution, arity, acyclic containment) are left
+to :func:`hyperscope.axioms.validate`, which reports defects as data (a
 malformed name under A1 or A5); ``parse`` applies it eagerly.
 """
 
@@ -213,7 +209,12 @@ _HYPERSIMPLEX_SLOTS = tuple(Hypersimplex.__dict__[f.name].__set__ for f in field
 
 
 def _retagged(s: Hypersimplex, tags: tuple[Identifier, ...]) -> Hypersimplex:
-    """``s`` with the tag tuple ``tags``, sharing every other field of ``s``."""
+    """``s`` with the tag tuple ``tags``, sharing every other field of ``s``.
+
+    Nothing is converted or checked: ``s``'s fields passed
+    ``Hypersimplex.__init__``, and ``merge`` and ``meet`` build ``tags``
+    from tag tuples that did too.
+    """
     new = object.__new__(Hypersimplex)
     set_id, set_participants, set_relation, set_kind, set_tags = _HYPERSIMPLEX_SLOTS
     set_id(new, s.id)
@@ -309,12 +310,12 @@ class View:
 
 
 def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
-    """Name -> kind of its first declaration: vertices, relations, hypersimplices.
+    """Name -> kind (vertex, relation, hypersimplex) of its first declaration.
 
-    This is A1's one rule for a name declared more than once, in
-    declaration order. :func:`hyperscope.axioms.validate` calls it, and so
-    does the kind check of ``merge`` and ``meet`` when a name of one input
-    is declared in another namespace of the other.
+    A name declared more than once has the kind it is first declared with,
+    reading vertices, then relations, then hypersimplices, each in order.
+    ``validate`` (A1) and the kind check of ``merge`` and ``meet`` both read
+    it; it is not cached.
     """
     kinds: dict[Identifier, str] = {}
     for v in h.vertices:
@@ -327,7 +328,11 @@ def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
 
 
 def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] = set) -> Iterable[str]:
-    """``into(names)``; a bare ``str``, which would be its characters, raises TypeError."""
+    """``into(names)``: every parameter that takes a collection of names reads it here.
+
+    A bare ``str`` raises ``TypeError``, since it would be read as its
+    one-character names.
+    """
     if isinstance(names, str):
         raise TypeError(f"expected a collection of names, not the str {names!r}")
     return into(names)
@@ -337,8 +342,8 @@ def _id_map(h: Hypernetwork) -> dict[Identifier, int]:
     """Id -> position in ``h.simplices`` of its first declaration, in declaration order.
 
     Fewer entries than ``h.simplices`` means some id is declared twice.
-    Returns ``h._at`` when ``h`` already holds it; otherwise the map is
-    built for the caller alone and is not kept on ``h``.
+    Returns ``h._at`` when ``h`` holds it, else a map built for this call
+    alone (see the module docstring).
     """
     at = vars(h).get("_at")
     if at is None:
@@ -357,9 +362,8 @@ def require_declared(h: Hypernetwork, names: Iterable[str],
     tags live in separate spaces. The least name, not the first, is reported,
     so the error does not depend on the iteration order of ``names``.
 
-    Looks the names up in ``at``, an id map of ``h`` that the caller holds,
-    else in ``h``'s cached map when ``h`` holds it; otherwise one pass over
-    ``h.simplices`` reads their ids, and no map is built.
+    With no id map ``at`` given or cached on ``h``, it builds none and
+    reads the ids of ``h.simplices`` once.
     """
     if at is None:
         at = vars(h).get("_at")
@@ -383,8 +387,8 @@ def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
     are never pulled in.
 
     Raises UnresolvedIdentifierError when a root is neither a declared
-    vertex nor a declared hypersimplex of ``h``, and TypeError when
-    ``roots`` is a bare ``str``.
+    vertex nor a declared hypersimplex of ``h``, and TypeError for a bare
+    ``str`` (see :func:`_names`).
     """
     return walk(h, roots)[0]
 
@@ -393,17 +397,12 @@ def walk(h: Hypernetwork, roots: Iterable[str], at: dict[Identifier, int] | None
          ) -> tuple[set[Identifier], list[int], set[Identifier]]:
     """The downward closure of ``roots``, with what ``split`` builds its result from.
 
-    ``at`` is ``h``'s id map. The boundary reads pass ``h._at``, which they
-    keep on the backcloth, and ``split`` the map it shares with its other
-    steps. Without one the walk takes :func:`_id_map`'s, so a value walked
-    once keeps no map.
+    ``at`` is ``h``'s id map; without one the walk takes :func:`_id_map`'s.
 
     Returns the closure (see :func:`descendants`), the positions in
     ``h.simplices`` of the hypersimplices it reached (one per closure name
     that is a hypersimplex id, its first declaration, in no fixed order),
     and the names that reached hypersimplices reference only as anti-vertices.
-    The stack holds those positions, never names: a name is looked up once,
-    as it enters the closure, and a vertex is never stacked.
     """
     closure = _names(roots)
     if at is None:

@@ -8,16 +8,22 @@ declaration order. Inputs are assumed valid; every operator returns a valid
 hypernetwork.
 
 Removal semantics need one care: when a hypersimplex disappears (prune of
-its id, difference against a network that also names it) but something that
-survives still references it, the result keeps a plain vertex declaration
-under that name so the reference, or the anti-vertex prune put in its
-place, still resolves and arity is preserved.
+its id, difference against a network that also names it) but a survivor
+still references it, the result demotes it to a plain vertex declaration,
+so the reference, or the anti-vertex prune put in its place, still resolves
+and arity is preserved.
 
 Hypersimplices an operator does not change are shared with its result, not
 copied: values are frozen, so the result may hold the input's own objects.
 A changed one is rebuilt only for its new tags or slots. Ids are looked up
-through ``model._id_map``: an input's cached map when it holds one, else a
-map built for the call, so neither the inputs nor the result keep one.
+through ``model._id_map``, under the id-map rule of :mod:`hyperscope.model`.
+
+A value that declares a hypersimplex id twice is invalid, yet the tests pin
+three fallbacks for it, each taken when an id map is shorter than
+``h.simplices``: ``_assemble`` demotes every declaration of a loose id,
+found by a scan; ``_paired`` pairs with the right input's last declaration;
+``_split``, whose walk reached only first declarations, keeps every
+declaration of a closure id.
 """
 
 from __future__ import annotations
@@ -48,18 +54,20 @@ def _assemble(h: Hypernetwork, sims: list[Hypersimplex], names: set[str], loose:
     ``sims`` bind. ``loose`` holds the names that may point at a hypersimplex
     of ``h`` not among ``sims``; each such hypersimplex that is not a kept
     vertex is demoted to a vertex declaration, so every reference resolves.
-    They are found through ``at``, an id map of ``h`` in which no id is
-    declared twice (``split`` passes the one it built for its walk), else
-    through ``h._at`` when ``h`` already holds it and declares no id twice,
-    and otherwise by one pass over the ids of ``h.simplices``; no map is
-    built here.
+    Demoted names are declared after all kept vertices, in ``h``'s
+    declaration order.
+
+    They are found through ``at``, an id map of ``h`` (``split`` passes the
+    one its walk used), else through ``h._at`` when ``h`` holds it, and
+    otherwise by one pass over the ids of ``h.simplices``; no map is built
+    here.
     """
     vertices = tuple(filter(names.__contains__, h.vertices))
     loose.difference_update(vertices)  # in place: every caller builds ``loose`` for this call
     all_sims = h.simplices
     if at is None:
         at = vars(h).get("_at")
-        if at is not None and len(at) < len(all_sims):  # an id declared twice: demote each declaration
+        if at is not None and len(at) < len(all_sims):  # an id declared twice
             at = None
     if not loose:
         demoted = ()
@@ -102,9 +110,6 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
     a hypersimplex named in both must be structurally equal (tags aside).
     Kinds are compared, in ``h1``'s declaration order, only when the
     namespaces of the two inputs meet (see :func:`_apart`).
-
-    Pairs through ``h2``'s id -> position map. When ``h2`` declares an id
-    twice, the last declaration is the one compared and yielded.
     """
     sims2, at2 = h2.simplices, _id_map(h2)
     rel2 = {r.id: r for r in h2.relations}
@@ -118,7 +123,7 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
         other = rel2.get(r.id)
         if other is not None and other != r:
             raise IdentityConflictError(f"relation {r.id} declared with different roles")
-    if len(at2) < len(sims2):  # an id declared twice: pair with its last declaration
+    if len(at2) < len(sims2):  # an id declared twice
         at2 = {t.id: i for i, t in enumerate(sims2)}
     for s in h1.simplices:
         i = at2.get(s.id)
@@ -192,7 +197,8 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     hypersimplex a Present reference to a member of ``s`` becomes an
     anti-vertex, preserving arity. Declarations are retained: vertex
     members of ``s`` keep their declaration, and removed hypersimplices
-    leave a vertex declaration behind, so every anti-vertex resolves.
+    leave a vertex declaration behind (ordered as :func:`_assemble` orders
+    demoted names), so every anti-vertex resolves.
     """
     wanted = _names(s)
     require_declared(h, wanted)
@@ -220,13 +226,7 @@ def split(h: Hypernetwork, c: Iterable[str]) -> Hypernetwork:
     ``h`` can enter, and the closure never escapes upward or sideways.
 
     Costs time proportional to the result plus ``h``'s vertex and relation
-    lists: ``_assemble`` gets the hypersimplices at the positions the walk
-    reached, sorted, and the closure with the anti-vertices added in place.
-    ``h.simplices`` is scanned only when an id is declared twice.
-
-    The walk, the duplicate-id check and ``_assemble`` share one id map:
-    ``h._at`` when ``h`` holds it, else one built for this call and not
-    kept, so splitting one operator result many times builds it each time.
+    lists.
     """
     return _split(h, c, _id_map(h))
 
@@ -235,7 +235,7 @@ def _split(h: Hypernetwork, c: Iterable[str], at: dict[str, int]) -> Hypernetwor
     """``split(h, c)`` through ``at``, the id map of ``h`` (see :func:`~hyperscope.model.walk`)."""
     closure, reached, anti = walk(h, c, at)
     sims = h.simplices
-    if len(at) < len(sims):  # an id declared twice: the walk reached only its first declaration
+    if len(at) < len(sims):  # an id declared twice
         kept = [s for s in sims if s.id in closure]
         refs = {p.ref for s in kept for p in s.participants}
         return _assemble(h, kept, refs | closure, refs - closure)

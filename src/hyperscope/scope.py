@@ -41,8 +41,7 @@ def visible_set(h: Hypernetwork, b: str) -> set[Identifier]:
 
     The downward closure of every hypersimplex carrying ``b``. Visibility
     never travels laterally or upward, and never through an anti-vertex.
-    An unknown tag yields the empty set. Keeps ``h``'s id map on ``h``,
-    since a backcloth is read under many boundaries.
+    An unknown tag yields the empty set. Keeps ``h``'s id map on ``h``.
     """
     return walk(h, _tagged(h, b), h._at)[0]
 
@@ -56,7 +55,7 @@ def project(h: Hypernetwork, b: str) -> View:
     referenced only through anti-vertices are retained so the exclusion
     still resolves). ``h`` is never modified, and a tag that no
     hypersimplex carries, malformed or not, projects to the empty view.
-    Keeps ``h``'s id map on ``h``, as :func:`visible_set` does.
+    Keeps ``h``'s id map on ``h``.
     """
     return View(base_digest=structural_digest(h), content=_split(h, _tagged(h, b), h._at), boundary=b)
 

@@ -54,9 +54,7 @@ _TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
 # Whole-line forms of the three declarations. ``parse_unchecked`` builds every
 # value from their groups, and ``_raise_for`` finds a name's span from group 1.
-# Any other line takes the token path below, which owns every diagnostic and
-# builds nothing. tests/test_text.py checks the forms differentially against
-# the token builder kept in tests/token_reference.py. No two ``\s*`` are ever
+# Any other line takes the token path, ``_parse_line``. No two ``\s*`` are ever
 # adjacent without a literal between them, so a rejected line costs linear time.
 _NAMES = rf"{NAME}(?:\s*,\s*{NAME})*"
 _REF = rf"(?:!\s*)?{NAME}"
@@ -209,8 +207,9 @@ def _parse_line(line: str, lineno: int) -> None:
 
     Returns for a blank or comment-only line and raises the line's
     ``HtSyntaxError`` otherwise, even if every check passes: a gap between
-    the two grammars must not drop a declaration. It builds nothing; the
-    token builder in ``tests/token_reference.py`` is the reference.
+    the two grammars must not drop a declaration. It owns every diagnostic
+    and builds nothing; ``tests/test_text.py`` checks the line forms against
+    the token builder kept in ``tests/token_reference.py``.
     """
     cur = _Cursor(line.split("#", 1)[0], lineno)
     if not cur.tokens:
