@@ -6,7 +6,8 @@ value's equality, hashing, ``repr`` and fields untouched. Only ``parse``,
 ``validate``, the boundary reads and ``simplex`` keep the id map on a
 value; every operator, scoped form and view operation reads the map when
 its input already holds it and otherwise builds one for the call. Each is
-shown to give the same result, or the same error, either way.
+shown to give the same result, or the same error, either way. Threads
+that fill one value's caches at once read what a single thread reads.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -198,6 +201,45 @@ class TestCachesAreInvisible:
         h = parse(serialize(load_fixture(key)))
         assert "_kinds" not in vars(h)
         assert validate(h).ok and "_kinds" not in vars(h)
+
+
+def _reads(h: Hypernetwork) -> tuple:
+    """The digest, and each tag's projection (typed) and visible set, read from ``h``."""
+    views = []
+    for b in h.tag_universe():
+        view = project(h, b)
+        views.append((b, view, typed(view.content), visible_set(h, b)))
+    return structural_digest(h), views
+
+
+class TestSharedAcrossThreads:
+    THREADS = 4
+    TRIALS = 20
+
+    def test_threads_reading_one_fresh_value_get_the_single_threaded_results(self):
+        values = [*(load_fixture(k) for k in ("E1", "E2", "E3")), *acceptance_corpus()[:10]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the cache fills interleave
+        try:
+            for h in values:
+                want = _reads(fresh(h))
+                for _ in range(self.TRIALS):
+                    shared = fresh(h)
+                    start = threading.Barrier(self.THREADS)
+                    got = [None] * self.THREADS
+
+                    def read(i):
+                        start.wait()
+                        got[i] = _reads(shared)
+
+                    threads = [threading.Thread(target=read, args=(i,)) for i in range(self.THREADS)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+                    assert got == [want] * self.THREADS, h
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestIndexAgainstLinearScans:
