@@ -14,7 +14,7 @@ randomization before it is hashed.
 
 ``PINNED`` is the digest they print, the one copy of it in the
 repository: ``tests/test_interpreters.py`` checks the running interpreter
-against it, and CI checks the installed package. A change that alters
+against it under two hash seeds, and CI checks the installed package. A change that alters
 these outputs on purpose updates it and says so.
 """
 
