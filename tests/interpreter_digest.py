@@ -7,7 +7,8 @@ that have no test dependencies installed; ``tests/test_interpreters.py``
 runs it under each supported interpreter it finds and compares the digests.
 
 The digest covers the fixtures and every projection of each; the five
-operators and their scoped forms on seeded pairs; ``validate`` reports;
+operators and their scoped forms on seeded pairs; a view intersection
+that declares many undeclared references; ``validate`` reports;
 the error class, message and span of hand-built invalid texts; ``repr``;
 and a pickle round trip. Every output is made independent of hash
 randomization before it is hashed.
@@ -48,7 +49,7 @@ from hyperscope import (
     visible_set,
 )
 
-PINNED = "e2177180c6fce214a4644bd31614f302d72bf8328d487beeebac97cd3bfa7143"
+PINNED = "5fcfdcb0d161d33b73136a6b9b4e8d062d4906386808420eb6b6234296fcf7b2"
 
 INVALID_TEXTS = [
     "vertex\n",
@@ -69,6 +70,12 @@ INVALID_TEXTS = [
     "vertex a\nrelation R(r)\nx = < a ; R >\nx = < a ; R ; t >\n",
     "\ufeffvertex a\nvertex b\u2028c\n",
 ]
+
+# ``x`` excludes eight hypersimplices that only the ``b`` view holds, so the
+# intersection of the ``a`` and ``b`` views declares all eight as undeclared
+# references, in ``x``'s slot order, which no set order keeps.
+UNDECLARED_TEXT = "vertex v\nrelation R(r)\nrelation X(r1, r2, r3, r4, r5, r6, r7, r8)\n" + "".join(
+    f"y{i} = < v ; R ; b >\n" for i in range(1, 9)) + "x = < !y5, !y2, !y8, !y1, !y7, !y3, !y6, !y4 ; X ; a, b >\n"
 
 
 def _outcome(fn, *args):
@@ -128,6 +135,8 @@ def outputs():
             yield _outcome(view_intersect, project(h1, b), other)
             yield _outcome(view_union, project(h1, b), other)
             yield _outcome(view_union, project(h1, b), project(h2, b))
+    h = parse(UNDECLARED_TEXT)
+    yield repr(view_intersect(project(h, "a"), project(h, "b")))
     mutants = gen.kind_mutants(gen.fixtures()[0])
     for h in gen.invalid_values():
         yield from _network(h)
