@@ -225,7 +225,7 @@ class TestSharedAcrossThreads:
                 want = _reads(fresh(h))
                 for _ in range(self.TRIALS):
                     shared = fresh(h)
-                    start = threading.Barrier(self.THREADS)
+                    start = threading.Barrier(self.THREADS, timeout=60)
                     got = [None] * self.THREADS
 
                     def read(i):
@@ -236,7 +236,8 @@ class TestSharedAcrossThreads:
                     for thread in threads:
                         thread.start()
                     for thread in threads:
-                        thread.join()
+                        thread.join(60)
+                        assert not thread.is_alive()
                     assert got == [want] * self.THREADS, h
         finally:
             sys.setswitchinterval(interval)
