@@ -15,8 +15,8 @@ randomization before it is hashed.
 
 ``PINNED`` is the digest they print, the one copy of it in the
 repository: ``tests/test_interpreters.py`` checks the running interpreter
-against it under two hash seeds, and CI checks the installed package. A change that alters
-these outputs on purpose updates it and says so.
+against it under two hash seeds, and CI checks the installed package. A
+change that alters these outputs on purpose updates it and says so.
 """
 
 from __future__ import annotations

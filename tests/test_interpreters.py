@@ -2,11 +2,12 @@
 
 ``interpreter_digest.py`` hashes a fixed set of outputs. These tests run it
 under the running interpreter, whose digest must be the pinned one under
-each hash seed of ``HASH_SEEDS``, and under each ``python3.10`` ... ``python3.13`` that starts and reports its
-version, and compare the digests. A version
-is looked for on ``PATH`` first, then among pyenv's installs
-(``$PYENV_ROOT/versions/3.X.*/bin``), since a pyenv shim on ``PATH`` starts
-only when ``PYENV_VERSION`` names an install of that version.
+each hash seed of ``HASH_SEEDS``, and under each ``python3.10`` ...
+``python3.13`` that starts and reports its version, and compare the
+digests. A version is looked for on ``PATH`` first, then among pyenv's
+installs (``$PYENV_ROOT/versions/3.X.*/bin``), since a pyenv shim on
+``PATH`` starts only when ``PYENV_VERSION`` names an install of that
+version.
 """
 
 from __future__ import annotations
