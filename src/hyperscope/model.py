@@ -328,10 +328,11 @@ def declaration_kinds(h: Hypernetwork) -> dict[Identifier, str]:
 
 
 def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] = set) -> Iterable[str]:
-    """``into(names)``: every parameter that takes a collection of names reads it here.
+    """``into(names)``, for each parameter that takes a collection of names.
 
     A bare ``str`` raises ``TypeError``, since it would be read as its
-    one-character names.
+    one-character names. ``Hypersimplex`` takes a tag tuple, as the parser
+    and the operators pass, without this call.
     """
     if isinstance(names, str):
         raise TypeError(f"expected a collection of names, not the str {names!r}")
