@@ -28,7 +28,7 @@ declaration of a closure id.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from itertools import filterfalse
 
 from .errors import IdentityConflictError
@@ -100,16 +100,17 @@ def _apart(h1: Hypernetwork, h2: Hypernetwork, at2: dict, rel2: dict) -> bool:
     return others2.isdisjoint(map(_ID, h1.simplices))
 
 
-def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, Hypersimplex | None]]:
-    """Each hypersimplex of ``h1`` with ``h2``'s of the same id, or None.
+def _paired(h1: Hypernetwork, h2: Hypernetwork) -> list[Hypersimplex | None]:
+    """``h2``'s hypersimplex of each id of ``h1.simplices``, in that order, or None.
 
-    Rejects same-identifier declarations with different content, checked as
-    iteration runs, kinds and relations before the first pair. Identity is
-    global: one name may not stand for a vertex on one side and a
-    hypersimplex on the other, nor for two different relation symbols, and
-    a hypersimplex named in both must be structurally equal (tags aside).
-    Kinds are compared, in ``h1``'s declaration order, only when the
-    namespaces of the two inputs meet (see :func:`_apart`).
+    Rejects same-identifier declarations with different content: kinds and
+    relations first, then each pair in ``h1``'s order. Identity is global:
+    one name may not stand for a vertex on one side and a hypersimplex on
+    the other, nor for two different relation symbols, and a hypersimplex
+    named in both must be structurally equal (tags aside). Kinds are
+    compared, in ``h1``'s declaration order, only when the namespaces of
+    the two inputs meet (see :func:`_apart`). Every partner is found, in
+    one pass whose lookups run in C, before any content is compared.
     """
     sims2, at2 = h2.simplices, _id_map(h2)
     rel2 = {r.id: r for r in h2.relations}
@@ -125,13 +126,12 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> Iterator[tuple[Hypersimplex, 
             raise IdentityConflictError(f"relation {r.id} declared with different roles")
     if len(at2) < len(sims2):  # an id declared twice
         at2 = {t.id: i for i, t in enumerate(sims2)}
-    for s in h1.simplices:
-        i = at2.get(s.id)
-        t = None if i is None else sims2[i]
+    partners = [None if i is None else sims2[i] for i in map(at2.get, map(_ID, h1.simplices))]
+    for s, t in zip(h1.simplices, partners):
         if t is not None and s is not t and (s.participants != t.participants
                                              or s.relation != t.relation or s.kind != t.kind):
             raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
-        yield s, t
+    return partners
 
 
 def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
@@ -147,7 +147,7 @@ def merge(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     relations = h1.relations + tuple(r for r in h2.relations if r.id not in rel1)
 
     out = []
-    for s, t in _paired(h1, h2):
+    for s, t in zip(h1.simplices, _paired(h1, h2)):
         if t is not None and t.tags and t.tags != s.tags:
             added = tuple(filterfalse(set(s.tags).__contains__, t.tags)) if s.tags else t.tags
             if added:
@@ -166,7 +166,7 @@ def meet(h1: Hypernetwork, h2: Hypernetwork) -> Hypernetwork:
     the declarations the survivors reference. Order follows ``h1``.
     """
     survivors: list[Hypersimplex] = []
-    for s, t in _paired(h1, h2):
+    for s, t in zip(h1.simplices, _paired(h1, h2)):
         if t is None:
             continue
         if s.tags and s.tags != t.tags:
