@@ -83,7 +83,12 @@ def scoped_apply(op: str, h1: Hypernetwork, h2: Hypernetwork, b: str) -> View:
 
 def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],
             h: Hypernetwork, names: Iterable[str], b: str) -> View:
-    """Apply a unary operator to the ``b`` view; every name must be visible."""
+    """Apply a unary operator to the ``b`` view; every name must be declared in it.
+
+    The view declares each visible name and each name that only a visible
+    anti-vertex references, so such a name is accepted too, as the kernel
+    operator on ``project(h, b).content`` would accept it.
+    """
     base = project(h, b)
     names = _names(names)
     require_declared(base.content, names, f"is not visible under boundary {b}")
@@ -93,8 +98,8 @@ def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],
 def scoped_prune(h: Hypernetwork, s: Iterable[str], b: str) -> View:
     """Prune within the ``b`` view; the backcloth stays untouched.
 
-    Every member of ``s`` must be visible under ``b``. Anti-vertices the
-    prune introduces appear only in the returned view.
+    Every member of ``s`` must be declared in the ``b`` view. Anti-vertices
+    the prune introduces appear only in the returned view.
     """
     return _scoped(prune, h, s, b)
 
@@ -102,8 +107,9 @@ def scoped_prune(h: Hypernetwork, s: Iterable[str], b: str) -> View:
 def scoped_split(h: Hypernetwork, c: Iterable[str], b: str) -> View:
     """Closure extraction within the visible region of ``b`` only.
 
-    Projection does not enforce closure, so this coincides with projection
-    exactly when every hypersimplex of the requested closure carries ``b``.
+    Every member of ``c`` must be declared in the ``b`` view. Projection
+    does not enforce closure, so this coincides with projection exactly
+    when every hypersimplex of the requested closure carries ``b``.
     """
     return _scoped(split, h, c, b)
 

@@ -15,6 +15,7 @@ from hyperscope import (
     difference,
     parse,
     project,
+    prune,
     scoped_apply,
     scoped_prune,
     scoped_split,
@@ -25,6 +26,10 @@ from hyperscope import (
     view_union,
     visible_set,
 )
+
+
+# ``x`` is declared in the ``b`` view only because a visible anti-vertex names it.
+_ANTI_ONLY = "vertex a\nvertex x\nrelation R(r1, r2)\ns = < a, !x ; R ; b > : alpha\n"
 
 
 def _net(vertices, relations, sims):
@@ -188,6 +193,12 @@ class TestScopedPrune:
         with pytest.raises(UnresolvedIdentifierError):
             scoped_prune(bicycle, {"strength"}, "b_cyclist")
 
+    def test_a_name_only_an_anti_vertex_references_is_declared_in_the_view(self):
+        h = parse(_ANTI_ONLY)
+        assert visible_set(h, "b") == {"a", "s"}
+        view = scoped_prune(h, ["x"], "b")
+        assert view.content == prune(project(h, "b").content, ["x"]) == project(h, "b").content
+
     @pytest.mark.parametrize("scoped", [scoped_prune, scoped_split])
     def test_nothing_is_visible_under_a_malformed_tag(self, bicycle, scoped):
         with pytest.raises(UnresolvedIdentifierError) as exc:
@@ -231,6 +242,13 @@ class TestScopedSplit:
 
         view = scoped_split(tagged, {"fireUnit"}, "b_all")
         assert view.content == split(tagged, {"fireUnit"})
+
+    def test_a_name_only_an_anti_vertex_references_is_declared_in_the_view(self):
+        h = parse(_ANTI_ONLY)
+        assert visible_set(h, "b") == {"a", "s"}
+        view = scoped_split(h, ["x"], "b")
+        assert view.content == split(project(h, "b").content, ["x"])
+        assert serialize(view.content) == "vertex x\n"
 
     def test_invisible_seed_is_unresolved(self, bicycle):
         with pytest.raises(UnresolvedIdentifierError):
