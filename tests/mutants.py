@@ -130,6 +130,17 @@ MUTANTS = (
            "content=_split(h, _tagged(h, b), h._at)", "content=split(h, _tagged(h, b))"),
     Mutant("visible-set-builds-a-per-call-map", "scope.py",
            "walk(h, _tagged(h, b), h._at)[0]", "walk(h, _tagged(h, b))[0]"),
+    # The partner list of merge and meet: one lookup pass, then the content check.
+    Mutant("paired-takes-the-previous-partner", "ops.py",
+           "else sims2[i] for i in map(", "else sims2[i - 1] for i in map("),
+    Mutant("paired-ignores-a-kind-difference", "ops.py",
+           "or s.relation != t.relation or s.kind != t.kind):", "or s.relation != t.relation):"),
+    Mutant("paired-ignores-a-relation-difference", "ops.py",
+           "or s.relation != t.relation or s.kind != t.kind):", "or s.kind != t.kind):"),
+    Mutant("paired-skips-the-last-pair", "ops.py",
+           "for s, t in zip(h1.simplices, partners):", "for s, t in zip(h1.simplices[:-1], partners):"),
+    Mutant("paired-pairs-with-the-first-of-a-repeated-id", "ops.py",
+           "if len(at2) < len(sims2):", "if len(at2) < 0:"),
     # The text format: spacing, the byte order mark, blocks and spans.
     Mutant("serialize-drops-the-space-after-tag-commas", "text.py",
            "f\" ; {', '.join(s.tags)}\"", "f\" ; {','.join(s.tags)}\""),

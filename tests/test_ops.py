@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -32,7 +33,7 @@ from hyperscope import (
 )
 from hyperscope.model import _retagged
 
-from gen import acceptance_corpus
+from gen import acceptance_corpus, compatible_pair
 from test_ops_reference import REFERENCE, outcome
 
 
@@ -315,6 +316,27 @@ def test_conflict_messages_and_their_order(op, clash, message):
     with pytest.raises(IdentityConflictError) as exc:
         op(_one_simplex_net([]), _conflicting(**clash))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("op", [merge, meet])
+def test_a_kind_conflict_on_the_last_shared_hypersimplex_is_found(op):
+    checked = 0
+    for seed in range(50):
+        h1, h2 = compatible_pair(random.Random(seed))
+        shared = [s.id for s in h1.simplices if h2.simplex(s.id) is not None]
+        if not shared:
+            continue
+        op(h1, h2)
+        last = h2.simplex(shared[-1])
+        kind = Kind.BETA if last.kind is Kind.ALPHA else Kind.ALPHA
+        flipped = Hypersimplex(last.id, last.participants, last.relation, kind, last.tags)
+        h2 = Hypernetwork(h2.vertices, h2.relations,
+                          tuple(flipped if s is last else s for s in h2.simplices))
+        with pytest.raises(IdentityConflictError) as exc:
+            op(h1, h2)
+        assert str(exc.value) == f"hypersimplex {last.id} has different content in the two inputs"
+        checked += 1
+    assert checked >= 25
 
 
 def _declaring_both(declaration):
