@@ -24,6 +24,13 @@ relations, then hypersimplices), exactly one space after commas and around
 ``;``, ``=``, and ``:``, the kind always written, tags in stored order, LF
 line endings, and a trailing newline. ``parse(serialize(h))`` is full-equal
 to ``h``, and ``serialize`` is a fixed point on its own output.
+
+Vertex and hypersimplex lines spelled exactly as ``serialize`` writes them
+are read through literal forms of those lines first. A line spelled any
+other way is read through the general forms, with the same values,
+interning, errors and spans; within a block of lines, the first vertex or
+hypersimplex line that misses the literal forms sends the rest of the block
+to the general forms.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ if TYPE_CHECKING:
 _TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
 # Whole-line forms of the three declarations. ``parse_unchecked`` builds every
-# value from their groups, and ``_raise_for`` finds a name's span from group 1.
+# value from their groups (or the same groups of a literal form below), and
+# ``_raise_for`` finds a name's span from group 1.
 # Any other line takes the token path, ``_parse_line``. No two ``\s*`` are ever
 # adjacent without a literal between them, so a rejected line costs linear time.
 _NAMES = rf"{NAME}(?:\s*,\s*{NAME})*"
@@ -65,6 +73,17 @@ _SIMPLEX_RE = re.compile(
     rf"\s*({NAME})\s*=\s*<\s*({_REF}(?:\s*,\s*{_REF})*)\s*;\s*({NAME})"
     rf"(?:\s*;\s*({_NAMES}))?\s*>(?:\s*:\s*(alpha|beta))?{_END}"
 )
+
+# The vertex and hypersimplex lines spelled exactly as ``serialize`` writes
+# them: one space where it writes one, the kind always written, no comment.
+# Literal spaces match in about half the time of ``\s*``, so ``parse_unchecked``
+# tries these first, and the refs they match need no strip. Each accepts a
+# subset of the lines of its general form above, with the same groups.
+_CANONICAL_SIMPLEX_RE = re.compile(
+    rf"({NAME}) = < (!?{NAME}(?:, !?{NAME})*) ; ({NAME})"
+    rf"(?: ; ({NAME}(?:, {NAME})*))? > : (alpha|beta)\Z"
+)
+_CANONICAL_VERTEX_RE = re.compile(rf"vertex ({NAME})\Z")
 
 
 @dataclass(frozen=True)
@@ -292,27 +311,46 @@ def parse_unchecked(text: str) -> Hypernetwork:
     names = _Names()
     slots = _Slots(names)
     tag_lists = _Tags(names)
+    canonical, canonical_vertex = _CANONICAL_SIMPLEX_RE.match, _CANONICAL_VERTEX_RE.match
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
-    for lineno, line in enumerate(chain.from_iterable(_blocks(text)), 1):
-        if m := simplex(line):
-            sid, refs, rel, tags, kind = m.groups()
+    lineno = 0
+    for block in _blocks(text):
+        # The literal forms go first until a vertex or hypersimplex line of
+        # the block misses them; the general forms read the rest of the
+        # block, so hand-written text pays no failed literal match per line.
+        literal = True
+        for lineno, line in enumerate(block, lineno + 1):
+            if literal and (m := canonical(line)):
+                sid, refs, rel, tags, kind = m.groups()
+                participants = tuple([slots[r] for r in refs.split(", ")])
+            elif literal and (m := canonical_vertex(line)):
+                vertices.append(names[m[1]])
+                continue
+            elif m := simplex(line):
+                literal = False
+                sid, refs, rel, tags, kind = m.groups()
+                participants = tuple([slots[r.strip()] for r in refs.split(",")])
+            elif m := vertex(line):
+                literal = False
+                vertices.append(names[m[1]])
+                continue
+            elif m := relation(line):
+                roles = tuple([r.strip() for r in m[2].split(",")])
+                if len(set(roles)) < len(roles):
+                    _parse_line(line, lineno)  # raises the duplicate role's error
+                relations.append(RelationSymbol(names[m[1]], roles))
+                continue
+            else:
+                _parse_line(line, lineno)
+                continue
             simplices.append(Hypersimplex(
                 names[sid],
-                tuple([slots[r.strip()] for r in refs.split(",")]),
+                participants,
                 names[rel],
                 beta if kind == "beta" else alpha,
                 tag_lists[tags],
             ))
-        elif m := vertex(line):
-            vertices.append(names[m[1]])
-        elif m := relation(line):
-            roles = tuple([r.strip() for r in m[2].split(",")])
-            if len(set(roles)) < len(roles):
-                _parse_line(line, lineno)  # raises the duplicate role's error
-            relations.append(RelationSymbol(names[m[1]], roles))
-        else:
-            _parse_line(line, lineno)
     return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
 
 

@@ -159,6 +159,20 @@ MUTANTS = (
     Mutant("duplicate-points-at-the-first-declaration", "text.py",
            "DuplicateIdentifierError(violation.message, at[1])",
            "DuplicateIdentifierError(violation.message, at[0])"),
+    # The literal line forms that canonical text is read through first.
+    Mutant("canonical-refs-split-on-bare-comma", "text.py",
+           'tuple([slots[r] for r in refs.split(", ")])', 'tuple([slots[r] for r in refs.split(",")])'),
+    Mutant("canonical-simplex-form-not-anchored", "text.py",
+           '> : (alpha|beta)\\Z"', '> : (alpha|beta)"'),
+    Mutant("canonical-vertex-form-not-anchored", "text.py",
+           'rf"vertex ({NAME})\\Z"', 'rf"vertex ({NAME})"'),
+    Mutant("canonical-simplex-form-misses-beta", "text.py",
+           "> : (alpha|beta)\\Z", "> : (alpha)\\Z"),
+    Mutant("canonical-branch-reads-every-kind-as-alpha", "text.py",
+           "(m := canonical(line)):\n                sid, refs, rel, tags, kind = m.groups()",
+           '(m := canonical(line)):\n                sid, refs, rel, tags, kind = (*m.groups()[:4], "alpha")'),
+    Mutant("literal-forms-start-off", "text.py",
+           "        literal = True\n", "        literal = False\n"),
     # The validator: report order, A1 against A2, and the per-simplex checks.
     Mutant("report-sorts-by-axiom-first", "axioms.py",
            "key=lambda v: (order[v.subject], v.axiom)", "key=lambda v: (v.axiom, order[v.subject])"),

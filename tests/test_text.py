@@ -647,3 +647,85 @@ def test_parse_peaks_below_a_fixed_multiple_of_its_result():
         tracemalloc.stop()
     assert len(h.simplices) == 10_000
     assert peak < 1.55 * live
+
+
+# -- literal line forms ----------------------------------------------------------
+
+def _values_and_fixtures():
+    return [*acceptance_corpus(), *(parse(fixture_source(k)) for k in ("E1", "E2", "E3"))]
+
+
+def test_serialize_writes_every_vertex_and_hypersimplex_in_a_literal_form():
+    for h in _values_and_fixtures():
+        lines = serialize(h).splitlines()
+        split = len(h.vertices) + len(h.relations)
+        assert len(lines) == split + len(h.simplices)
+        for v, line in zip(h.vertices, lines):
+            m = text._CANONICAL_VERTEX_RE.match(line)
+            assert m is not None and m[1] == v, line
+        for s, line in zip(h.simplices, lines[split:]):
+            m = text._CANONICAL_SIMPLEX_RE.match(line)
+            assert m is not None and m[1] == s.id, line
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_canonical_text_is_read_through_the_literal_forms_alone(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(text, "_BLOCK", block)
+    never = re.compile(r"(?!)")
+    monkeypatch.setattr(text, "_SIMPLEX_RE", never)
+    monkeypatch.setattr(text, "_VERTEX_RE", never)
+    for h in _values_and_fixtures():
+        assert parse_unchecked(serialize(h)) == h
+
+
+def _assert_interned(h, src):
+    """One object per name of ``h``, and one per slot text and tag-list text of ``src``."""
+    found = [m for line in src.split("\n") if (m := text._SIMPLEX_RE.match(line))]
+    assert len(found) == len(h.simplices)
+    names, slots, tag_lists = {}, {}, {}
+    for s, m in zip(h.simplices, found):
+        for p, slot in zip(s.participants, [r.strip() for r in m[2].split(",")], strict=True):
+            assert slots.setdefault(slot, p) is p, slot
+        assert tag_lists.setdefault(m[4], s.tags) is s.tags, m[4]
+        for name in (s.id, s.relation, *(p.ref for p in s.participants), *s.tags):
+            assert names.setdefault(name, name) is name, name
+    for name in (*h.vertices, *(r.id for r in h.relations)):
+        assert names.setdefault(name, name) is name, name
+
+
+def _half_respaced(rng, src):
+    """``src`` with every other line respaced, so that the two line forms alternate."""
+    lines = src.splitlines()
+    return "".join((_respace(rng, line) if i % 2 else line) + "\n" for i, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_both_line_forms_share_one_table_of_names_slots_and_tag_lists(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(text, "_BLOCK", block)
+    rng = random.Random(28)
+    sources = [serialize(h) for h in _values_and_fixtures()]
+    sources.append(_seeded_text(2_000, 28))
+    for src in sources:
+        mixed = _half_respaced(rng, src)
+        h = parse_unchecked(src)
+        assert parse_unchecked(mixed) == h
+        _assert_interned(h, src)
+        _assert_interned(parse_unchecked(mixed), mixed)
+
+
+def test_rejected_near_canonical_lines_cost_linear_time():
+    refs = ", ".join(["a"] * 20_000)
+    lines = [
+        "x = < " + refs + " ; R",
+        "x = < " + refs + ", ; R > : alpha",
+        "x = < a ; R ; " + refs + " > : gamma",
+        "x = < a ; R ; " + refs + " > : alpha x",
+        "vertex " + "a" * 40_000 + " b",
+    ]
+    start = time.perf_counter()
+    for line in lines:
+        with pytest.raises(HtSyntaxError):
+            parse(line)
+    assert time.perf_counter() - start < 3.0
