@@ -709,10 +709,10 @@ def test_both_line_forms_share_one_table_of_names_slots_and_tag_lists(monkeypatc
     sources.append(_seeded_text(2_000, 28))
     for src in sources:
         mixed = _half_respaced(rng, src)
-        h = parse_unchecked(src)
-        assert parse_unchecked(mixed) == h
+        h, h_mixed = parse_unchecked(src), parse_unchecked(mixed)
+        assert h_mixed == h
         _assert_interned(h, src)
-        _assert_interned(parse_unchecked(mixed), mixed)
+        _assert_interned(h_mixed, mixed)
 
 
 def test_rejected_near_canonical_lines_cost_linear_time():
