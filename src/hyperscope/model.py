@@ -24,6 +24,15 @@ map; the price is that splitting one such result many times builds its map
 each time. :func:`require_declared`, which checks a few names, builds no
 map at all and scans the ids once.
 
+A value that ``parse`` or ``parse_unchecked`` read from text spelled
+exactly as ``serialize`` writes it also holds that text
+(``Hypernetwork._text``) until its first serialization: ``serialize`` pops
+it and returns it, so that serialization, and the digest when it is the
+first, costs no rebuilding. The text is the canonical form of the value,
+so this changes no output, and after that first use the value holds no
+text. Like the caches, it is outside equality, hashing, ``repr``, pickles
+and copies.
+
 ``Participant``, ``RelationSymbol`` and ``Hypersimplex`` are slotted frozen
 dataclasses: assigning a field raises ``FrozenInstanceError``, and assigning
 any other name raises too (on CPython 3.11 the ``TypeError`` of the
@@ -266,7 +275,8 @@ class Hypernetwork:
     # Lazily cached derived data; see the module docstring.
 
     def __getstate__(self) -> dict:
-        # Pickle and copy the fields alone; the caches refill on demand.
+        # Pickle and copy the fields alone; the caches refill on demand, and a
+        # held source text stays behind.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property

@@ -31,6 +31,15 @@ other way is read through the general forms, with the same values,
 interning, errors and spans; within a block of lines, the first vertex or
 hypersimplex line that misses the literal forms sends the rest of the block
 to the general forms.
+
+A text that is exactly ``serialize``'s output for the value it parses to
+is handed to that value, and its first ``serialize`` returns it instead of
+building it again. That holds for an exact ``str`` with no leading U+FEFF
+whose every block stayed on the literal forms, whose vertex lines come
+first and relation lines next, whose relation lines are spelled
+``relation NAME(r1, r2)``, and whose only blank line is the empty one
+after the final ``"\\n"`` (or the text is ``""``). Any other text is
+serialized from its value.
 """
 
 from __future__ import annotations
@@ -314,7 +323,12 @@ def parse_unchecked(text: str) -> Hypernetwork:
     canonical, canonical_vertex = _CANONICAL_SIMPLEX_RE.match, _CANONICAL_VERTEX_RE.match
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
-    lineno = 0
+    # Whether ``text`` is exactly what ``serialize`` writes for the value (see
+    # the module docstring). Line order is checked at the end: with V vertices
+    # and R relations, the last vertex line must be line V, and the last
+    # relation line (if any) line V + R.
+    exact = text.__class__ is str and not text.startswith("\ufeff")
+    lineno = last_vertex = last_relation = blanks = 0
     for block in _blocks(text):
         # The literal forms go first until a vertex or hypersimplex line of
         # the block misses them; the general forms read the rest of the
@@ -326,6 +340,7 @@ def parse_unchecked(text: str) -> Hypernetwork:
                 participants = tuple([slots[r] for r in refs.split(", ")])
             elif literal and (m := canonical_vertex(line)):
                 vertices.append(names[m[1]])
+                last_vertex = lineno
                 continue
             elif m := simplex(line):
                 literal = False
@@ -340,9 +355,12 @@ def parse_unchecked(text: str) -> Hypernetwork:
                 if len(set(roles)) < len(roles):
                     _parse_line(line, lineno)  # raises the duplicate role's error
                 relations.append(RelationSymbol(names[m[1]], roles))
+                exact = exact and line == f"relation {m[1]}({', '.join(roles)})"
+                last_relation = lineno
                 continue
             else:
                 _parse_line(line, lineno)
+                blanks += 1
                 continue
             simplices.append(Hypersimplex(
                 names[sid],
@@ -351,7 +369,12 @@ def parse_unchecked(text: str) -> Hypernetwork:
                 beta if kind == "beta" else alpha,
                 tag_lists[tags],
             ))
-    return Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
+        exact = exact and literal
+    h = Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
+    if (exact and blanks == 1 and text[-1:] in ("\n", "") and last_vertex == len(vertices)
+            and last_relation in (0, len(vertices) + len(relations))):
+        vars(h)["_text"] = text  # ``serialize`` hands it over once
+    return h
 
 
 def parse(text: str) -> Hypernetwork:
@@ -371,6 +394,9 @@ def parse(text: str) -> Hypernetwork:
 
 def serialize(h: Hypernetwork) -> str:
     """Canonical ``.ht`` form of ``h``; empty hypernetwork gives ``""``."""
+    text = vars(h).pop("_text", None)
+    if text is not None:
+        return text
     lines = [f"vertex {v}\n" for v in h.vertices]
     lines += [f"relation {r.id}({', '.join(r.roles)})\n" for r in h.relations]
     for s in h.simplices:
