@@ -394,6 +394,8 @@ def parse(text: str) -> Hypernetwork:
 
 def serialize(h: Hypernetwork) -> str:
     """Canonical ``.ht`` form of ``h``; empty hypernetwork gives ``""``."""
+    # One ``dict.pop``: of threads that race here, one takes the parsed text
+    # and the others build an equal string.
     text = vars(h).pop("_text", None)
     if text is not None:
         return text

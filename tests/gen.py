@@ -173,6 +173,15 @@ def strip_tags(h: Hypernetwork) -> Hypernetwork:
                         tuple(s.untagged() for s in h.simplices))
 
 
+def unseeded(h: Hypernetwork) -> Hypernetwork:
+    """An equal value built from ``h``'s fields alone, holding no cache and no source text.
+
+    A value parsed from canonical text serializes to that very text, so a
+    round-trip check also serializes this copy to test the serializer.
+    """
+    return Hypernetwork(h.vertices, h.relations, h.simplices)
+
+
 # --- hand-built values shared by the reference modules ---------------------
 
 def fixtures() -> tuple[Hypernetwork, ...]:

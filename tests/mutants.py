@@ -2,7 +2,8 @@
 
 Usage: ``python tests/mutants.py [--only NAME] [--ignore PATH ...]``, from
 the repository root. For each mutant the script copies ``src/``,
-``tests/``, ``README.md`` and ``pyproject.toml`` to a temporary directory,
+``tests/``, ``perfbench/`` (whose generator ``tests/test_text.py`` reads),
+``README.md`` and ``pyproject.toml`` to a temporary directory,
 replaces the mutant's old text with its new text there, and runs tier-1
 with ``-x -q -p no:cacheprovider``. It prints one line per mutant: KILLED
 or SURVIVED, the time, the name and the first failing test. It exits 0
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT_S = 600  # a mutant that hangs tier-1 counts as killed
 
 
@@ -173,6 +174,25 @@ MUTANTS = (
            '(m := canonical(line)):\n                sid, refs, rel, tags, kind = (*m.groups()[:4], "alpha")'),
     Mutant("literal-forms-start-off", "text.py",
            "        literal = True\n", "        literal = False\n"),
+    # The hand-over of a canonical text to its parsed value.
+    Mutant("handover-ignores-the-vertex-order", "text.py",
+           "and last_vertex == len(vertices)\n", "\n"),
+    Mutant("handover-ignores-the-relation-order", "text.py",
+           "last_relation in (0, len(vertices) + len(relations))", "last_relation >= 0"),
+    Mutant("handover-allows-blank-lines", "text.py",
+           "exact and blanks == 1 and", "exact and blanks >= 1 and"),
+    Mutant("handover-keeps-the-byte-order-mark", "text.py",
+           'text.__class__ is str and not text.startswith("\\ufeff")', "text.__class__ is str"),
+    Mutant("handover-ignores-relation-spelling", "text.py",
+           "                exact = exact and line == f\"relation {m[1]}({', '.join(roles)})\"\n", ""),
+    Mutant("handover-accepts-a-str-subclass", "text.py",
+           "exact = text.__class__ is str and", "exact = isinstance(text, str) and"),
+    Mutant("handover-ignores-the-final-newline", "text.py",
+           'text[-1:] in ("\\n", "")', "True"),
+    Mutant("handover-ignores-blocks-off-the-literal-forms", "text.py",
+           "        exact = exact and literal\n", ""),
+    Mutant("serialize-leaves-the-text-on-the-value", "text.py",
+           'vars(h).pop("_text", None)', 'vars(h).get("_text")'),
     # The validator: report order, A1 against A2, and the per-simplex checks.
     Mutant("report-sorts-by-axiom-first", "axioms.py",
            "key=lambda v: (order[v.subject], v.axiom)", "key=lambda v: (v.axiom, order[v.subject])"),

@@ -36,6 +36,7 @@ from gen import (
     compatible_triple,
     retag,
     strip_tags,
+    unseeded,
 )
 
 def _ids(h):
@@ -242,11 +243,15 @@ def test_criterion_6_round_trip():
         text = serialize(h)
         if parse(text) != h or serialize(parse(text)) != text:
             failures += 1
+        if serialize(unseeded(parse(text))) != text:
+            failures += 1
     for h in acceptance_corpus():
         text = serialize(h)
         if parse(text) != h:
             failures += 1
         if serialize(parse(text)) != text:
+            failures += 1
+        if serialize(unseeded(parse(text))) != text:
             failures += 1
     assert failures == 0
     assert time.perf_counter() - start < 30.0

@@ -8,6 +8,10 @@ value; every operator, scoped form and view operation reads the map when
 its input already holds it and otherwise builds one for the call. Each is
 shown to give the same result, or the same error, either way. Threads
 that fill one value's caches at once read what a single thread reads.
+A value parsed from canonical text holds that text until its first
+serialization; the text is shown to be as invisible as the caches, to
+stay behind in copies, and to reach every thread that serializes or
+digests the value.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from hyperscope import (
     view_union,
     visible_set,
 )
+from hyperscope.corpus import fixture_source
 from hyperscope.model import require_declared
 from hyperscope.ops import BINARY
 from hyperscope.scope import _tagged
@@ -239,6 +244,90 @@ class TestSharedAcrossThreads:
                         thread.join(60)
                         assert not thread.is_alive()
                     assert got == [want] * self.THREADS, h
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _sources() -> list[str]:
+    """Canonical texts: the three fixtures and a few corpus values."""
+    return [*(fixture_source(k) for k in ("E1", "E2", "E3")),
+            *(serialize(h) for h in acceptance_corpus()[:20])]
+
+
+def _sha256(src: str) -> str:
+    return hashlib.sha256(src.encode("utf-8")).hexdigest()
+
+
+class TestSourceText:
+    """A value parsed from canonical text holds that text until its first serialization."""
+
+    def test_a_value_that_holds_its_text_reads_as_one_that_does_not(self):
+        for src in _sources():
+            holding = parse(src)
+            assert vars(holding)["_text"] is src
+            other = fresh(holding)
+            assert holding == other and other == holding
+            assert hash(holding) == hash(other)
+            assert repr(holding) == repr(other)
+            assert dataclasses.fields(holding) == dataclasses.fields(other)
+            assert dataclasses.astuple(holding) == dataclasses.astuple(other)
+            assert pickle.dumps(holding) == pickle.dumps(other)
+            assert vars(holding)["_text"] is src  # none of these took it
+
+    def test_copies_and_replace_do_not_carry_the_text(self):
+        for src in _sources():
+            holding = parse(src)
+            for copied in (copy.copy(holding), copy.deepcopy(holding), dataclasses.replace(holding),
+                           pickle.loads(pickle.dumps(holding))):
+                assert copied == holding
+                assert "_text" not in vars(copied)
+                out = serialize(copied)
+                assert out == src and out is not src
+            assert serialize(holding) is src
+
+    def test_the_first_serialization_takes_the_text_and_none_is_kept(self):
+        for src in _sources():
+            h = parse(src)
+            assert serialize(h) is src
+            assert "_text" not in vars(h)
+            again = serialize(h)
+            assert again == src and again is not src
+            h = parse(src)
+            assert structural_digest(h) == _sha256(src)
+            assert "_text" not in vars(h)
+            assert serialize(h) == src
+
+    THREADS = 4
+    TRIALS = 50
+
+    def test_threads_serializing_and_digesting_one_fresh_value_get_its_text(self):
+        sources = _sources()[:6]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the hand-over races
+        try:
+            for src in sources:
+                want = (src, _sha256(src))
+                for trial in range(self.TRIALS):
+                    shared = parse(src)
+                    start = threading.Barrier(self.THREADS, timeout=60)
+                    got = [None] * self.THREADS
+
+                    def read(i):
+                        start.wait()
+                        if (i + trial) % 2:
+                            got[i] = (serialize(shared), structural_digest(shared))
+                        else:
+                            digest = structural_digest(shared)
+                            got[i] = (serialize(shared), digest)
+
+                    threads = [threading.Thread(target=read, args=(i,)) for i in range(self.THREADS)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60)
+                        assert not thread.is_alive()
+                    assert got == [want] * self.THREADS, src
+                    assert "_text" not in vars(shared)
         finally:
             sys.setswitchinterval(interval)
 

@@ -32,6 +32,7 @@ from gen import (
     net,
     random_hypernetwork,
     sim,
+    unseeded,
     walk_oracle,
 )
 from hyperscope.model import walk
@@ -331,6 +332,7 @@ class TestDigest:
         from hyperscope import parse
 
         assert structural_digest(parse(serialize(emergency))) == structural_digest(emergency)
+        assert structural_digest(unseeded(parse(serialize(emergency)))) == structural_digest(emergency)
 
     def test_sensitive_to_tag_changes(self, emergency):
         retagged = Hypernetwork(

@@ -32,6 +32,7 @@ from gen import (
     random_hypernetwork,
     retag,
     strip_tags,
+    unseeded,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -74,6 +75,7 @@ def test_round_trip_and_canonical_fixed_point(seed):
     text = serialize(h)
     assert parse(text) == h
     assert serialize(parse(text)) == text
+    assert serialize(unseeded(parse(text))) == text
 
 
 @settings(max_examples=60, deadline=None)

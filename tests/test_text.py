@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import functools
 import random
 import re
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +34,7 @@ from hyperscope import text
 from hyperscope.corpus import fixture_source
 
 import token_reference
-from gen import acceptance_corpus
+from gen import acceptance_corpus, unseeded
 
 
 class TestParse:
@@ -162,6 +165,7 @@ class TestSerialize:
         src = fixture_source("E1")
         once = serialize(parse(src))
         assert serialize(parse(once)) == once
+        assert serialize(unseeded(parse(once))) == once
 
     def test_empty_network_serializes_to_empty_string(self):
         from hyperscope import Hypernetwork
@@ -529,6 +533,7 @@ def test_any_text_parses_to_a_fixed_point_or_raises_a_spanned_error(source):
     once = serialize(h)
     assert parse(once) == h
     assert serialize(parse(once)) == once
+    assert serialize(unseeded(parse(once))) == once
 
 
 # -- blocks of lines ----------------------------------------------------------
@@ -729,3 +734,106 @@ def test_rejected_near_canonical_lines_cost_linear_time():
         with pytest.raises(HtSyntaxError):
             parse(line)
     assert time.perf_counter() - start < 3.0
+
+
+# -- canonical text handed to its value ---------------------------------------------
+
+@functools.cache
+def _htgen():
+    """The benchmark's seeded generator, which writes ``.ht`` text without the library."""
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import htgen
+
+    return htgen
+
+
+@functools.cache
+def _canonical_texts():
+    """Texts spelled exactly as ``serialize`` writes them, one of them longer than a block."""
+    texts = ["", *(fixture_source(k) for k in ("E1", "E2", "E3"))]
+    texts += [serialize(h) for h in acceptance_corpus()]
+    htgen = _htgen()
+    texts += [htgen.document(random.Random(seed), n).text for seed, n in ((29, 10), (30, 300), (31, 3000))]
+    return texts
+
+
+def _handed_over(src, parser=parse):
+    """Whether ``serialize(parser(src))`` is ``src`` itself; either way it is the serializer's text."""
+    h = parser(src)
+    copied = copy.deepcopy(h)
+    out = serialize(h)
+    assert out == serialize(unseeded(h)) == serialize(copied)
+    return out is src
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_a_canonical_text_is_handed_to_its_value(monkeypatch, block):
+    texts = _canonical_texts()
+    assert len(texts[-1]) > text._BLOCK
+    if block is not None:
+        monkeypatch.setattr(text, "_BLOCK", block)
+    for src in texts:
+        assert _handed_over(src), src[:200]
+        assert _handed_over(src, parse_unchecked), src[:200]
+
+
+def _joined(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _moved(lines, start, to):
+    """``lines`` with the line at ``start`` moved to position ``to`` of the rest."""
+    rest = lines[:start] + lines[start + 1:]
+    return _joined(rest[:to] + [lines[start]] + rest[to:])
+
+
+class _Text(str):
+    pass
+
+
+def _variants(src):
+    """Near-canonical texts made from ``src``, each of which ``serialize`` would not write."""
+    lines = src.splitlines()
+    first_relation = next(i for i, line in enumerate(lines) if line.startswith("relation "))
+    first_simplex = next(i for i, line in enumerate(lines) if " = < " in line)
+    relation = lines[first_relation]
+    return {
+        "byte-order-mark": ["\ufeff" + src],
+        "crlf": [src.replace("\n", "\r\n")],
+        "omitted-alpha": [src.replace(" : alpha\n", "\n", 1)],
+        "blank-line": [_joined(lines[:i] + [""] + lines[i:]) for i in range(len(lines))],
+        "comment-line": [_joined(lines[:i] + ["# note"] + lines[i:]) for i in range(len(lines) + 1)],
+        "extra-final-newline": [src + "\n"],
+        "no-final-newline": [src[:-1]],
+        "blank-line-for-the-final-newline": [_joined(lines[:i] + [""] + lines[i:])[:-1]
+                                             for i in range(1, len(lines))],
+        "vertex-after-a-relation": [_moved(lines, 0, first_relation)],
+        "vertex-after-a-hypersimplex": [_moved(lines, first_relation - 1, len(lines) - 1),
+                                        _moved(lines, 0, first_simplex)],
+        "relation-after-a-hypersimplex": [_moved(lines, first_simplex - 1, len(lines) - 1),
+                                          _moved(lines, first_relation, first_simplex)],
+        "respaced-relation": [src.replace(relation, variant) for variant in (
+            relation.replace("(", " ("), relation.replace(", ", ","), relation.replace(" ", "  ", 1),
+            relation + " ", relation.replace(")", " )"), relation.replace("(", "( "))],
+        "str-subclass": [_Text(src)],
+        "non-literal-vertex": [_joined(lines[:i] + [lines[i].replace(" ", "  ")] + lines[i + 1:])
+                               for i in (0, first_relation - 1)],
+        "non-literal-hypersimplex": [_joined(lines[:i] + [lines[i].replace(" = <", " =<")] + lines[i + 1:])
+                                     for i in (first_simplex, len(lines) - 1)],
+    }
+
+
+_VARIANT_NAMES = list(_variants(fixture_source("E2")))
+
+
+@pytest.mark.parametrize("block", [1, None])
+@pytest.mark.parametrize("case", _VARIANT_NAMES)
+def test_a_text_serialize_would_not_write_stays_with_the_caller(monkeypatch, case, block):
+    if block is not None:
+        monkeypatch.setattr(text, "_BLOCK", block)
+    for src in (fixture_source(k) for k in ("E1", "E2", "E3")):
+        variants = _variants(src)[case]
+        assert variants and all(v != src or type(v) is not str for v in variants)
+        for variant in variants:
+            assert not _handed_over(variant), variant
+            assert not _handed_over(variant, parse_unchecked), variant
