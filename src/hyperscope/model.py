@@ -376,12 +376,7 @@ def require_declared(h: Hypernetwork, names: Iterable[str],
     With no id map ``at`` given or cached on ``h``, it builds none and
     reads the ids of ``h.simplices`` once.
     """
-    if at is None:
-        at = vars(h).get("_at")
-    if at is None:
-        missing = set(names).difference(map(_ID, h.simplices))
-    else:
-        missing = {n for n in names if n not in at}
+    missing = set(names).difference(at or vars(h).get("_at") or map(_ID, h.simplices))
     if missing:
         missing.difference_update(h.vertices)
     if missing:

@@ -324,11 +324,12 @@ def parse_unchecked(text: str) -> Hypernetwork:
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
     # Whether ``text`` is exactly what ``serialize`` writes for the value (see
-    # the module docstring). Line order is checked at the end: with V vertices
-    # and R relations, the last vertex line must be line V, and the last
-    # relation line (if any) line V + R.
+    # the module docstring): line k holds declaration k. So the k-th vertex
+    # line is line k, the j-th relation line is line V + j for the V vertices
+    # read so far, and the only line left over is the empty piece after the
+    # final "\n".
     exact = text.__class__ is str and not text.startswith("\ufeff")
-    lineno = last_vertex = last_relation = blanks = 0
+    lineno = 0
     for block in _blocks(text):
         # The literal forms go first until a vertex or hypersimplex line of
         # the block misses them; the general forms read the rest of the
@@ -340,7 +341,7 @@ def parse_unchecked(text: str) -> Hypernetwork:
                 participants = tuple([slots[r] for r in refs.split(", ")])
             elif literal and (m := canonical_vertex(line)):
                 vertices.append(names[m[1]])
-                last_vertex = lineno
+                exact = exact and lineno == len(vertices)
                 continue
             elif m := simplex(line):
                 literal = False
@@ -355,12 +356,11 @@ def parse_unchecked(text: str) -> Hypernetwork:
                 if len(set(roles)) < len(roles):
                     _parse_line(line, lineno)  # raises the duplicate role's error
                 relations.append(RelationSymbol(names[m[1]], roles))
-                exact = exact and line == f"relation {m[1]}({', '.join(roles)})"
-                last_relation = lineno
+                exact = (exact and lineno == len(vertices) + len(relations)
+                         and line == f"relation {m[1]}({', '.join(roles)})")
                 continue
             else:
                 _parse_line(line, lineno)
-                blanks += 1
                 continue
             simplices.append(Hypersimplex(
                 names[sid],
@@ -371,8 +371,8 @@ def parse_unchecked(text: str) -> Hypernetwork:
             ))
         exact = exact and literal
     h = Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
-    if (exact and blanks == 1 and text[-1:] in ("\n", "") and last_vertex == len(vertices)
-            and last_relation in (0, len(vertices) + len(relations))):
+    if (exact and lineno == len(vertices) + len(relations) + len(simplices) + 1
+            and text[-1:] in ("\n", "")):
         vars(h)["_text"] = text  # ``serialize`` hands it over once
     return h
 

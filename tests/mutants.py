@@ -77,6 +77,8 @@ MUTANTS = (
            "_assemble(h, kept, refs, refs - closure)"),
     Mutant("paired-ignores-kind-mismatch", "ops.py",
            "other = k2.get(name)", "other = None"),
+    Mutant("require-declared-keeps-the-declared", "model.py",
+           "missing = set(names).difference(", "missing = set(names).intersection("),
     Mutant("require-declared-names-greatest", "model.py",
            "{min(missing)} {reason}", "{max(missing)} {reason}"),
     Mutant("view-union-keeps-demoted-vertices", "scope.py",
@@ -176,15 +178,17 @@ MUTANTS = (
            "        literal = True\n", "        literal = False\n"),
     # The hand-over of a canonical text to its parsed value.
     Mutant("handover-ignores-the-vertex-order", "text.py",
-           "and last_vertex == len(vertices)\n", "\n"),
+           "                exact = exact and lineno == len(vertices)\n", ""),
     Mutant("handover-ignores-the-relation-order", "text.py",
-           "last_relation in (0, len(vertices) + len(relations))", "last_relation >= 0"),
+           "exact = (exact and lineno == len(vertices) + len(relations)\n                         and",
+           "exact = (exact\n                         and"),
     Mutant("handover-allows-blank-lines", "text.py",
-           "exact and blanks == 1 and", "exact and blanks >= 1 and"),
+           "lineno == len(vertices) + len(relations) + len(simplices) + 1",
+           "lineno >= len(vertices) + len(relations) + len(simplices) + 1"),
     Mutant("handover-keeps-the-byte-order-mark", "text.py",
            'text.__class__ is str and not text.startswith("\\ufeff")', "text.__class__ is str"),
     Mutant("handover-ignores-relation-spelling", "text.py",
-           "                exact = exact and line == f\"relation {m[1]}({', '.join(roles)})\"\n", ""),
+           "\n                         and line == f\"relation {m[1]}({', '.join(roles)})\")", ")"),
     Mutant("handover-accepts-a-str-subclass", "text.py",
            "exact = text.__class__ is str and", "exact = isinstance(text, str) and"),
     Mutant("handover-ignores-the-final-newline", "text.py",
