@@ -7,6 +7,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from hyperscope import (
+    Hypernetwork,
+    HypernetworkError,
+    Hypersimplex,
+    Identifier,
+    Participant,
+    RelationSymbol,
+    View,
     descendants,
     difference,
     merge,
@@ -15,6 +22,8 @@ from hyperscope import (
     project,
     prune,
     scoped_apply,
+    scoped_prune,
+    scoped_split,
     serialize,
     split,
     structural_digest,
@@ -23,12 +32,16 @@ from hyperscope import (
     view_union,
     visible_set,
 )
+from hyperscope.ops import BINARY
 
 from gen import (
+    ACCEPTANCE_SEED,
     TAG_POOL,
+    acceptance_corpus,
     closure_oracle,
     compatible_pair,
     compatible_triple,
+    fixtures,
     random_hypernetwork,
     retag,
     strip_tags,
@@ -215,3 +228,55 @@ def test_digest_pins_full_equality(seed):
     changed = retag(rng, h)
     if changed != h:
         assert structural_digest(changed) != structural_digest(h)
+
+
+# The two laws below run over the acceptance corpus and the fixtures, every
+# tag of each value, with names and partners drawn from a seeded generator,
+# so every run checks the same cases.
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except HypernetworkError as e:
+        return type(e), str(e)
+
+
+def test_a_scoped_form_is_the_kernel_operator_on_the_projections():
+    rng = random.Random(ACCEPTANCE_SEED)
+    corpus = acceptance_corpus()
+    for h in (*corpus, *fixtures()):
+        partner = rng.choice(corpus)
+        for b in h.tag_universe():
+            base = project(h, b)
+            declared = [*base.content.vertices, *(x.id for x in base.content.simplices)]
+            s = rng.sample(declared, rng.randint(0, min(3, len(declared))))
+            assert scoped_prune(h, s, b) == View(base.base_digest, prune(base.content, s))
+            assert scoped_split(h, s, b) == View(base.base_digest, split(base.content, s))
+            other = project(partner, b).content
+            for op, fn in BINARY.items():
+                scoped = _outcome(lambda: scoped_apply(op, h, partner, b).content)
+                assert scoped == _outcome(fn, base.content, other), (op, b)
+
+
+def _renamed(h: Hypernetwork, b: str) -> Hypernetwork:
+    """``h`` with every declared name prefixed by ``k_`` and the tag ``b`` dropped."""
+    def name(n):
+        return Identifier(f"k_{n}")
+    return Hypernetwork(
+        tuple(map(name, h.vertices)),
+        tuple(RelationSymbol(name(r.id), r.roles) for r in h.relations),
+        tuple(Hypersimplex(name(s.id), tuple(Participant(name(p.ref), p.excluded) for p in s.participants),
+                           name(s.relation), s.kind, tuple(t for t in s.tags if t != b))
+              for s in h.simplices),
+    )
+
+
+def test_a_view_is_local_under_merge_and_difference():
+    rng = random.Random(ACCEPTANCE_SEED + 1)
+    for h in (*acceptance_corpus(), *fixtures()):
+        for b in h.tag_universe():
+            k = _renamed(random_hypernetwork(rng), b)
+            view = project(h, b).content
+            assert project(merge(h, k), b).content == view
+            assert project(difference(h, k), b).content == view
