@@ -234,6 +234,21 @@ def _retagged(s: Hypersimplex, tags: tuple[Identifier, ...]) -> Hypersimplex:
     return new
 
 
+def _id_map(h: Hypernetwork) -> dict[Identifier, int]:
+    """Id -> position in ``h.simplices`` of its first declaration, in declaration order.
+
+    Fewer entries than ``h.simplices`` means some id is declared twice.
+    Returns ``h._at`` when ``h`` holds it, else a map built for this call
+    alone (see the module docstring).
+    """
+    at = vars(h).get("_at")
+    if at is None:
+        at = {}
+        for i, s in enumerate(h.simplices):
+            at.setdefault(s.id, i)
+    return at
+
+
 @dataclass(frozen=True)
 class Hypernetwork:
     """An ordered, immutable backcloth of declarations.
@@ -298,10 +313,7 @@ class Hypernetwork:
                 index.setdefault(t, []).append(s.id)
         return {t: tuple(ids) for t, ids in index.items()}
 
-    @cached_property
-    def _at(self) -> dict[Identifier, int]:
-        """The map :func:`_id_map` builds, kept on the value."""
-        return _id_map(self)
+    _at = cached_property(_id_map)
 
 
 @dataclass(frozen=True)
@@ -347,21 +359,6 @@ def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] 
     if isinstance(names, str):
         raise TypeError(f"expected a collection of names, not the str {names!r}")
     return into(names)
-
-
-def _id_map(h: Hypernetwork) -> dict[Identifier, int]:
-    """Id -> position in ``h.simplices`` of its first declaration, in declaration order.
-
-    Fewer entries than ``h.simplices`` means some id is declared twice.
-    Returns ``h._at`` when ``h`` holds it, else a map built for this call
-    alone (see the module docstring).
-    """
-    at = vars(h).get("_at")
-    if at is None:
-        at = {}
-        for i, s in enumerate(h.simplices):
-            at.setdefault(s.id, i)
-    return at
 
 
 def require_declared(h: Hypernetwork, names: Iterable[str],

@@ -128,8 +128,8 @@ def _paired(h1: Hypernetwork, h2: Hypernetwork) -> list[Hypersimplex | None]:
         at2 = {t.id: i for i, t in enumerate(sims2)}
     partners = [None if i is None else sims2[i] for i in map(at2.get, map(_ID, h1.simplices))]
     for s, t in zip(h1.simplices, partners):
-        if t is not None and s is not t and (s.participants != t.participants
-                                             or s.relation != t.relation or s.kind != t.kind):
+        if t is not None and (s.participants != t.participants
+                              or s.relation != t.relation or s.kind != t.kind):
             raise IdentityConflictError(f"hypersimplex {s.id} has different content in the two inputs")
     return partners
 

@@ -28,17 +28,16 @@ to ``h``, and ``serialize`` is a fixed point on its own output.
 Vertex and hypersimplex lines spelled exactly as ``serialize`` writes them
 are read through literal forms of those lines first. A line spelled any
 other way is read through the general forms, with the same values,
-interning, errors and spans; within a block of lines, the first vertex or
-hypersimplex line that misses the literal forms sends the rest of the block
-to the general forms.
+interning, errors and spans; the first vertex or hypersimplex line that
+misses the literal forms sends the rest of the text to the general forms.
 
 A text that is exactly ``serialize``'s output for the value it parses to
 is handed to that value, and its first ``serialize`` returns it instead of
 building it again. That holds for an exact ``str`` with no leading U+FEFF
-whose every block stayed on the literal forms, whose vertex lines come
-first and relation lines next, whose relation lines are spelled
-``relation NAME(r1, r2)``, and whose only blank line is the empty one
-after the final ``"\\n"`` (or the text is ``""``). Any other text is
+whose every vertex and hypersimplex line matched the literal forms, whose
+vertex lines come first and relation lines next, whose relation lines are
+spelled ``relation NAME(r1, r2)``, and whose only blank line is the empty
+one after the final ``"\\n"`` (or the text is ``""``). Any other text is
 serialized from its value.
 """
 
@@ -329,49 +328,46 @@ def parse_unchecked(text: str) -> Hypernetwork:
     # read so far, and the only line left over is the empty piece after the
     # final "\n".
     exact = text.__class__ is str and not text.startswith("\ufeff")
-    lineno = 0
-    for block in _blocks(text):
-        # The literal forms go first until a vertex or hypersimplex line of
-        # the block misses them; the general forms read the rest of the
-        # block, so hand-written text pays no failed literal match per line.
-        literal = True
-        for lineno, line in enumerate(block, lineno + 1):
-            if literal and (m := canonical(line)):
-                sid, refs, rel, tags, kind = m.groups()
-                participants = tuple([slots[r] for r in refs.split(", ")])
-            elif literal and (m := canonical_vertex(line)):
-                vertices.append(names[m[1]])
-                exact = exact and lineno == len(vertices)
-                continue
-            elif m := simplex(line):
-                literal = False
-                sid, refs, rel, tags, kind = m.groups()
-                participants = tuple([slots[r.strip()] for r in refs.split(",")])
-            elif m := vertex(line):
-                literal = False
-                vertices.append(names[m[1]])
-                continue
-            elif m := relation(line):
-                roles = tuple([r.strip() for r in m[2].split(",")])
-                if len(set(roles)) < len(roles):
-                    _parse_line(line, lineno)  # raises the duplicate role's error
-                relations.append(RelationSymbol(names[m[1]], roles))
-                exact = (exact and lineno == len(vertices) + len(relations)
-                         and line == f"relation {m[1]}({', '.join(roles)})")
-                continue
-            else:
-                _parse_line(line, lineno)
-                continue
-            simplices.append(Hypersimplex(
-                names[sid],
-                participants,
-                names[rel],
-                beta if kind == "beta" else alpha,
-                tag_lists[tags],
-            ))
-        exact = exact and literal
+    # The literal forms go first until a vertex or hypersimplex line misses
+    # them; the general forms read the rest of the text, so hand-written text
+    # pays no failed literal match per line.
+    literal = True
+    for lineno, line in enumerate(chain.from_iterable(_blocks(text)), 1):
+        if literal and (m := canonical(line)):
+            sid, refs, rel, tags, kind = m.groups()
+            participants = tuple([slots[r] for r in refs.split(", ")])
+        elif literal and (m := canonical_vertex(line)):
+            vertices.append(names[m[1]])
+            exact = exact and lineno == len(vertices)
+            continue
+        elif m := simplex(line):
+            literal = False
+            sid, refs, rel, tags, kind = m.groups()
+            participants = tuple([slots[r.strip()] for r in refs.split(",")])
+        elif m := vertex(line):
+            literal = False
+            vertices.append(names[m[1]])
+            continue
+        elif m := relation(line):
+            roles = tuple([r.strip() for r in m[2].split(",")])
+            if len(set(roles)) < len(roles):
+                _parse_line(line, lineno)  # raises the duplicate role's error
+            relations.append(RelationSymbol(names[m[1]], roles))
+            exact = (exact and lineno == len(vertices) + len(relations)
+                     and line == f"relation {m[1]}({', '.join(roles)})")
+            continue
+        else:
+            _parse_line(line, lineno)
+            continue
+        simplices.append(Hypersimplex(
+            names[sid],
+            participants,
+            names[rel],
+            beta if kind == "beta" else alpha,
+            tag_lists[tags],
+        ))
     h = Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
-    if (exact and lineno == len(vertices) + len(relations) + len(simplices) + 1
+    if (exact and literal and lineno == len(vertices) + len(relations) + len(simplices) + 1
             and text[-1:] in ("\n", "")):
         vars(h)["_text"] = text  # ``serialize`` hands it over once
     return h

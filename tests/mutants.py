@@ -172,29 +172,29 @@ MUTANTS = (
     Mutant("canonical-simplex-form-misses-beta", "text.py",
            "> : (alpha|beta)\\Z", "> : (alpha)\\Z"),
     Mutant("canonical-branch-reads-every-kind-as-alpha", "text.py",
-           "(m := canonical(line)):\n                sid, refs, rel, tags, kind = m.groups()",
-           '(m := canonical(line)):\n                sid, refs, rel, tags, kind = (*m.groups()[:4], "alpha")'),
+           "(m := canonical(line)):\n            sid, refs, rel, tags, kind = m.groups()",
+           '(m := canonical(line)):\n            sid, refs, rel, tags, kind = (*m.groups()[:4], "alpha")'),
     Mutant("literal-forms-start-off", "text.py",
-           "        literal = True\n", "        literal = False\n"),
+           "    literal = True\n", "    literal = False\n"),
     # The hand-over of a canonical text to its parsed value.
     Mutant("handover-ignores-the-vertex-order", "text.py",
-           "                exact = exact and lineno == len(vertices)\n", ""),
+           "            exact = exact and lineno == len(vertices)\n", ""),
     Mutant("handover-ignores-the-relation-order", "text.py",
-           "exact = (exact and lineno == len(vertices) + len(relations)\n                         and",
-           "exact = (exact\n                         and"),
+           "exact = (exact and lineno == len(vertices) + len(relations)\n                     and",
+           "exact = (exact\n                     and"),
     Mutant("handover-allows-blank-lines", "text.py",
            "lineno == len(vertices) + len(relations) + len(simplices) + 1",
            "lineno >= len(vertices) + len(relations) + len(simplices) + 1"),
     Mutant("handover-keeps-the-byte-order-mark", "text.py",
            'text.__class__ is str and not text.startswith("\\ufeff")', "text.__class__ is str"),
     Mutant("handover-ignores-relation-spelling", "text.py",
-           "\n                         and line == f\"relation {m[1]}({', '.join(roles)})\")", ")"),
+           "\n                     and line == f\"relation {m[1]}({', '.join(roles)})\")", ")"),
     Mutant("handover-accepts-a-str-subclass", "text.py",
            "exact = text.__class__ is str and", "exact = isinstance(text, str) and"),
     Mutant("handover-ignores-the-final-newline", "text.py",
            'text[-1:] in ("\\n", "")', "True"),
-    Mutant("handover-ignores-blocks-off-the-literal-forms", "text.py",
-           "        exact = exact and literal\n", ""),
+    Mutant("handover-ignores-lines-off-the-literal-forms", "text.py",
+           "exact and literal and lineno ==", "exact and lineno =="),
     Mutant("serialize-leaves-the-text-on-the-value", "text.py",
            'vars(h).pop("_text", None)', 'vars(h).get("_text")'),
     # The validator: report order, A1 against A2, and the per-simplex checks.

@@ -230,7 +230,7 @@ def test_digest_pins_full_equality(seed):
         assert structural_digest(changed) != structural_digest(h)
 
 
-# The two laws below run over the acceptance corpus and the fixtures, every
+# The three laws below run over the acceptance corpus and the fixtures, every
 # tag of each value, with names and partners drawn from a seeded generator,
 # so every run checks the same cases.
 
@@ -280,3 +280,35 @@ def test_a_view_is_local_under_merge_and_difference():
             view = project(h, b).content
             assert project(merge(h, k), b).content == view
             assert project(difference(h, k), b).content == view
+
+
+def _as_sets(h: Hypernetwork):
+    return set(h.vertices), set(h.relations), set(h.simplices)
+
+
+def test_a_view_is_local_under_a_refinement_it_does_not_declare():
+    # Prune a few visible hypersimplices of b. A view that declares none of
+    # them is unchanged; one whose visible set merely misses them keeps its
+    # sets, but may list the demoted names in another order.
+    rng = random.Random(ACCEPTANCE_SEED + 2)
+    for h in (*acceptance_corpus(), *fixtures()):
+        tags = h.tag_universe()
+        for b in tags:
+            visible = [x.id for x in project(h, b).content.simplices]
+            s = set(rng.sample(visible, rng.randint(1, min(3, len(visible)))))
+            pruned = prune(h, s)
+            for c in tags:
+                view = project(h, c).content
+                if s.isdisjoint(view.vertices) and s.isdisjoint(x.id for x in view.simplices):
+                    assert project(pruned, c).content == view, (b, c, s)
+                if s.isdisjoint(visible_set(h, c)):
+                    assert _as_sets(project(pruned, c).content) == _as_sets(view), (b, c, s)
+
+
+def test_a_refinement_outside_the_visible_set_can_reorder_demoted_names():
+    h = random_hypernetwork(random.Random(110))
+    assert "s5" in visible_set(h, "b0") and "s5" not in visible_set(h, "b3")
+    before, after = project(h, "b3").content, project(prune(h, {"s5"}), "b3").content
+    assert _as_sets(after) == _as_sets(before)
+    assert before.vertices[-2:] == ("s4", "s5") and after.vertices[-2:] == ("s5", "s4")
+    assert after != before
