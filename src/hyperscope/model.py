@@ -200,12 +200,7 @@ class Hypersimplex:
 
     def structurally_equal(self, other: "Hypersimplex") -> bool:
         """Equality ignoring boundary tags (identity, slots, relation, kind)."""
-        return (
-            self.id == other.id
-            and self.participants == other.participants
-            and self.relation == other.relation
-            and self.kind == other.kind
-        )
+        return self.untagged() == other.untagged()
 
     def with_tags(self, tags: Iterable[str]) -> "Hypersimplex":
         return replace(self, tags=tuple(map(Identifier, _names(tags, iter))))
@@ -354,7 +349,8 @@ def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] 
 
     A bare ``str`` raises ``TypeError``, since it would be read as its
     one-character names. ``Hypersimplex`` takes a tag tuple, as the parser
-    and the operators pass, without this call.
+    and the operators pass, without this call. :func:`require_declared`
+    applies this rule too, and returns the set it checked.
     """
     if isinstance(names, str):
         raise TypeError(f"expected a collection of names, not the str {names!r}")
@@ -363,21 +359,25 @@ def _names(names: Iterable[str], into: Callable[[Iterable[str]], Iterable[str]] 
 
 def require_declared(h: Hypernetwork, names: Iterable[str],
                      reason: str = "does not resolve to a vertex or hypersimplex",
-                     at: dict[Identifier, int] | None = None) -> None:
-    """Raise UnresolvedIdentifierError for the least of ``names`` that ``h`` lacks.
+                     at: dict[Identifier, int] | None = None) -> set[str]:
+    """The set of ``names``, once each resolves in ``h``.
 
     Names resolve against vertices plus hypersimplex ids; relation names and
-    tags live in separate spaces. The least name, not the first, is reported,
-    so the error does not depend on the iteration order of ``names``.
+    tags live in separate spaces. UnresolvedIdentifierError reports the least
+    missing name, not the first, so it does not depend on the order of
+    ``names``. A bare ``str`` raises TypeError (see :func:`_names`). The
+    returned set is new, so the caller may change it.
 
     With no id map ``at`` given or cached on ``h``, it builds none and
     reads the ids of ``h.simplices`` once.
     """
-    missing = set(names).difference(at or vars(h).get("_at") or map(_ID, h.simplices))
+    names = _names(names)
+    missing = names.difference(at or vars(h).get("_at") or map(_ID, h.simplices))
     if missing:
         missing.difference_update(h.vertices)
     if missing:
         raise UnresolvedIdentifierError(f"{min(missing)} {reason}")
+    return names
 
 
 def descendants(h: Hypernetwork, roots: Iterable[str]) -> set[Identifier]:
@@ -407,11 +407,10 @@ def walk(h: Hypernetwork, roots: Iterable[str], at: dict[Identifier, int] | None
     that is a hypersimplex id, its first declaration, in no fixed order),
     and the names that reached hypersimplices reference only as anti-vertices.
     """
-    closure = _names(roots)
     if at is None:
         at = _id_map(h)
     sims = h.simplices
-    require_declared(h, closure, at=at)
+    closure = require_declared(h, roots, at=at)
     stack = [i for i in map(at.get, closure) if i is not None]
     reached: list[int] = []
     anti: set[Identifier] = set()

@@ -38,7 +38,6 @@ from .model import (
     Participant,
     _ID,
     _id_map,
-    _names,
     _retagged,
     declaration_kinds,
     require_declared,
@@ -200,8 +199,7 @@ def prune(h: Hypernetwork, s: Iterable[str]) -> Hypernetwork:
     leave a vertex declaration behind (ordered as :func:`_assemble` orders
     demoted names), so every anti-vertex resolves.
     """
-    wanted = _names(s)
-    require_declared(h, wanted)
+    wanted = require_declared(h, s)
 
     out, demoted = [], []
     for sim in h.simplices:

@@ -22,7 +22,6 @@ from .model import (
     Hypernetwork,
     Identifier,
     View,
-    _names,
     _sha256,
     require_declared,
     structural_digest,
@@ -90,8 +89,7 @@ def _scoped(op: Callable[[Hypernetwork, Iterable[str]], Hypernetwork],
     operator on ``project(h, b).content`` would accept it.
     """
     base = project(h, b)
-    names = _names(names)
-    require_declared(base.content, names, f"is not visible under boundary {b}")
+    names = require_declared(base.content, names, f"is not visible under boundary {b}")
     return View(base_digest=base.base_digest, content=op(base.content, names))
 
 

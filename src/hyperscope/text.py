@@ -25,19 +25,17 @@ relations, then hypersimplices), exactly one space after commas and around
 line endings, and a trailing newline. ``parse(serialize(h))`` is full-equal
 to ``h``, and ``serialize`` is a fixed point on its own output.
 
-Vertex and hypersimplex lines spelled exactly as ``serialize`` writes them
-are read through literal forms of those lines first. A line spelled any
-other way is read through the general forms, with the same values,
-interning, errors and spans; the first vertex or hypersimplex line that
-misses the literal forms sends the rest of the text to the general forms.
-
-A text that is exactly ``serialize``'s output for the value it parses to
-is handed to that value, and its first ``serialize`` returns it instead of
-building it again. That holds for an exact ``str`` with no leading U+FEFF
-whose every vertex and hypersimplex line matched the literal forms, whose
-vertex lines come first and relation lines next, whose relation lines are
-spelled ``relation NAME(r1, r2)``, and whose only blank line is the empty
-one after the final ``"\\n"`` (or the text is ``""``). Any other text is
+One flag says whether the text so far is ``serialize``'s output: an exact
+``str`` with no leading U+FEFF whose every vertex, relation and
+hypersimplex line so far is spelled and placed as ``serialize`` writes it
+(vertex lines first, then relation lines spelled ``relation NAME(r1, r2)``).
+While it holds, each line is tried against the literal form of a vertex or
+hypersimplex line first; the first line that is not so spelled and placed
+sends the rest of the text to the general forms, with the same values,
+interning, errors and spans. A text that ends with the flag set and no
+blank or comment line but the empty one after the final ``"\\n"`` (or the
+text ``""``) is handed to the value it parses to, and its first
+``serialize`` returns it instead of building it again. Any other text is
 serialized from its value.
 """
 
@@ -68,7 +66,7 @@ if TYPE_CHECKING:
 _TOKEN_RE = re.compile(rf"{NAME}|[<>();,=:!]|(\S)")
 
 # Whole-line forms of the three declarations. ``parse_unchecked`` builds every
-# value from their groups (or the same groups of a literal form below), and
+# value from their groups (or the matching groups of the literal form below), and
 # ``_raise_for`` finds a name's span from group 1.
 # Any other line takes the token path, ``_parse_line``. No two ``\s*`` are ever
 # adjacent without a literal between them, so a rejected line costs linear time.
@@ -82,16 +80,15 @@ _SIMPLEX_RE = re.compile(
     rf"(?:\s*;\s*({_NAMES}))?\s*>(?:\s*:\s*(alpha|beta))?{_END}"
 )
 
-# The vertex and hypersimplex lines spelled exactly as ``serialize`` writes
-# them: one space where it writes one, the kind always written, no comment.
-# Literal spaces match in about half the time of ``\s*``, so ``parse_unchecked``
-# tries these first, and the refs they match need no strip. Each accepts a
-# subset of the lines of its general form above, with the same groups.
-_CANONICAL_SIMPLEX_RE = re.compile(
-    rf"({NAME}) = < (!?{NAME}(?:, !?{NAME})*) ; ({NAME})"
+# A vertex line (group 1) or a hypersimplex line (groups 2-6, as in
+# ``_SIMPLEX_RE``) spelled exactly as ``serialize`` writes it: one space where
+# it writes one, the kind always written, no comment. Literal spaces match in
+# about half the time of ``\s*``, so ``parse_unchecked`` tries this first, and
+# the refs it matches need no strip. It accepts a subset of the general forms.
+_CANONICAL_RE = re.compile(
+    rf"vertex ({NAME})\Z|({NAME}) = < (!?{NAME}(?:, !?{NAME})*) ; ({NAME})"
     rf"(?: ; ({NAME}(?:, {NAME})*))? > : (alpha|beta)\Z"
 )
-_CANONICAL_VERTEX_RE = re.compile(rf"vertex ({NAME})\Z")
 
 
 @dataclass(frozen=True)
@@ -319,33 +316,31 @@ def parse_unchecked(text: str) -> Hypernetwork:
     names = _Names()
     slots = _Slots(names)
     tag_lists = _Tags(names)
-    canonical, canonical_vertex = _CANONICAL_SIMPLEX_RE.match, _CANONICAL_VERTEX_RE.match
+    canonical = _CANONICAL_RE.match
     simplex, vertex, relation = _SIMPLEX_RE.match, _VERTEX_RE.match, _RELATION_RE.match
     alpha, beta = Kind.ALPHA, Kind.BETA  # read once: a member read through its Enum class is slow
-    # Whether ``text`` is exactly what ``serialize`` writes for the value (see
-    # the module docstring): line k holds declaration k. So the k-th vertex
-    # line is line k, the j-th relation line is line V + j for the V vertices
-    # read so far, and the only line left over is the empty piece after the
-    # final "\n".
+    # Whether the text so far is exactly what ``serialize`` writes (see the
+    # module docstring): line k holds declaration k. So the k-th vertex line
+    # is line k, the j-th relation line is line V + j for the V vertices read
+    # so far, and the only line left over is the empty piece after the final
+    # "\n". The literal form is tried only while it holds; the general forms
+    # read the rest of the text, so hand-written text pays no failed literal
+    # match per line.
     exact = text.__class__ is str and not text.startswith("\ufeff")
-    # The literal forms go first until a vertex or hypersimplex line misses
-    # them; the general forms read the rest of the text, so hand-written text
-    # pays no failed literal match per line.
-    literal = True
     for lineno, line in enumerate(chain.from_iterable(_blocks(text)), 1):
-        if literal and (m := canonical(line)):
-            sid, refs, rel, tags, kind = m.groups()
+        if exact and (m := canonical(line)):
+            if m[1]:
+                vertices.append(names[m[1]])
+                exact = lineno == len(vertices)
+                continue
+            _, sid, refs, rel, tags, kind = m.groups()
             participants = tuple([slots[r] for r in refs.split(", ")])
-        elif literal and (m := canonical_vertex(line)):
-            vertices.append(names[m[1]])
-            exact = exact and lineno == len(vertices)
-            continue
         elif m := simplex(line):
-            literal = False
+            exact = False
             sid, refs, rel, tags, kind = m.groups()
             participants = tuple([slots[r.strip()] for r in refs.split(",")])
         elif m := vertex(line):
-            literal = False
+            exact = False
             vertices.append(names[m[1]])
             continue
         elif m := relation(line):
@@ -367,7 +362,7 @@ def parse_unchecked(text: str) -> Hypernetwork:
             tag_lists[tags],
         ))
     h = Hypernetwork(tuple(vertices), tuple(relations), tuple(simplices))
-    if (exact and literal and lineno == len(vertices) + len(relations) + len(simplices) + 1
+    if (exact and lineno == len(vertices) + len(relations) + len(simplices) + 1
             and text[-1:] in ("\n", "")):
         vars(h)["_text"] = text  # ``serialize`` hands it over once
     return h

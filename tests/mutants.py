@@ -78,7 +78,11 @@ MUTANTS = (
     Mutant("paired-ignores-kind-mismatch", "ops.py",
            "other = k2.get(name)", "other = None"),
     Mutant("require-declared-keeps-the-declared", "model.py",
-           "missing = set(names).difference(", "missing = set(names).intersection("),
+           "missing = names.difference(", "missing = names.intersection("),
+    Mutant("require-declared-splits-a-str", "model.py",
+           "    names = _names(names)\n", "    names = set(names)\n"),
+    Mutant("structurally-equal-compares-tags", "model.py",
+           "return self.untagged() == other.untagged()", "return self == other"),
     Mutant("require-declared-names-greatest", "model.py",
            "{min(missing)} {reason}", "{max(missing)} {reason}"),
     Mutant("view-union-keeps-demoted-vertices", "scope.py",
@@ -168,17 +172,17 @@ MUTANTS = (
     Mutant("canonical-simplex-form-not-anchored", "text.py",
            '> : (alpha|beta)\\Z"', '> : (alpha|beta)"'),
     Mutant("canonical-vertex-form-not-anchored", "text.py",
-           'rf"vertex ({NAME})\\Z"', 'rf"vertex ({NAME})"'),
+           'rf"vertex ({NAME})\\Z|(', 'rf"vertex ({NAME})|('),
     Mutant("canonical-simplex-form-misses-beta", "text.py",
            "> : (alpha|beta)\\Z", "> : (alpha)\\Z"),
     Mutant("canonical-branch-reads-every-kind-as-alpha", "text.py",
-           "(m := canonical(line)):\n            sid, refs, rel, tags, kind = m.groups()",
-           '(m := canonical(line)):\n            sid, refs, rel, tags, kind = (*m.groups()[:4], "alpha")'),
+           "_, sid, refs, rel, tags, kind = m.groups()",
+           '_, sid, refs, rel, tags, kind = (*m.groups()[:5], "alpha")'),
     Mutant("literal-forms-start-off", "text.py",
-           "    literal = True\n", "    literal = False\n"),
+           "if exact and (m := canonical(line)):", "if False and (m := canonical(line)):"),
     # The hand-over of a canonical text to its parsed value.
     Mutant("handover-ignores-the-vertex-order", "text.py",
-           "            exact = exact and lineno == len(vertices)\n", ""),
+           "                exact = lineno == len(vertices)\n", ""),
     Mutant("handover-ignores-the-relation-order", "text.py",
            "exact = (exact and lineno == len(vertices) + len(relations)\n                     and",
            "exact = (exact\n                     and"),
@@ -194,7 +198,7 @@ MUTANTS = (
     Mutant("handover-ignores-the-final-newline", "text.py",
            'text[-1:] in ("\\n", "")', "True"),
     Mutant("handover-ignores-lines-off-the-literal-forms", "text.py",
-           "exact and literal and lineno ==", "exact and lineno =="),
+           "            exact = False\n            sid, refs,", "            sid, refs,"),
     Mutant("serialize-leaves-the-text-on-the-value", "text.py",
            'vars(h).pop("_text", None)', 'vars(h).get("_text")'),
     # The validator: report order, A1 against A2, and the per-simplex checks.

@@ -411,14 +411,14 @@ def _mapped(h: Hypernetwork) -> Hypernetwork:
 
 
 def _result(fn, *args):
-    """What ``fn(*args)`` returns, in typed form, or its unresolved-name message."""
+    """What ``fn(*args)`` returns, in typed form (a set sorted), or its unresolved-name message."""
     try:
         out = fn(*args)
     except UnresolvedIdentifierError as exc:
         return "unresolved", str(exc)
     if isinstance(out, View):
         return out.base_digest, out.boundary, typed(out.content)
-    return None if out is None else typed(out)
+    return sorted(out) if isinstance(out, set) else typed(out)
 
 
 def _name_groups(h: Hypernetwork) -> list[list[str]]:

@@ -35,7 +35,7 @@ from gen import (
     unseeded,
     walk_oracle,
 )
-from hyperscope.model import walk
+from hyperscope.model import require_declared, walk
 
 BICYCLE_CLOSURE = {
     "bicycle", "frame", "drive", "balance", "rear-wheel", "chain", "pedals", "gears",
@@ -242,7 +242,8 @@ class TestDescendants:
         split,
         lambda h, names: scoped_prune(h, names, "t"),
         lambda h, names: scoped_split(h, names, "t"),
-    ], ids=["descendants", "prune", "split", "scoped_prune", "scoped_split"])
+        require_declared,
+    ], ids=["descendants", "prune", "split", "scoped_prune", "scoped_split", "require_declared"])
     def test_a_bare_str_is_not_a_collection_of_names(self, call):
         h = net(("a", "b"), simplices=(sim("ab", "a", "t"), sim("s", "b", "t")))
         with pytest.raises(TypeError, match=r"^expected a collection of names, not the str 'ab'$"):

@@ -666,11 +666,11 @@ def test_serialize_writes_every_vertex_and_hypersimplex_in_a_literal_form():
         split = len(h.vertices) + len(h.relations)
         assert len(lines) == split + len(h.simplices)
         for v, line in zip(h.vertices, lines):
-            m = text._CANONICAL_VERTEX_RE.match(line)
+            m = text._CANONICAL_RE.match(line)
             assert m is not None and m[1] == v, line
         for s, line in zip(h.simplices, lines[split:]):
-            m = text._CANONICAL_SIMPLEX_RE.match(line)
-            assert m is not None and m[1] == s.id, line
+            m = text._CANONICAL_RE.match(line)
+            assert m is not None and m[2] == s.id, line
 
 
 @pytest.mark.parametrize("block", [1, None])
